@@ -10,6 +10,13 @@
    - grouping throughput: the radix path must be >= 1.5x the hash path;
    - allocation: the radix path must allocate >= 30% fewer minor words.
 
+   A second, Fig. 4-shaped table (sparse values, 7 axes, coverage failing)
+   gates BUC's partition sort: its deep partitions hold about one row
+   each, so a sort whose cost carries a dictionary-sized term shows up as
+   the default config running slower than radix_bits = 0.  The default
+   path's median BUC time must stay within 1.5x of the radix_bits = 0
+   one.
+
    Writes BENCH_PR6.json, an x3-metrics/1 document (the same schema
    `x3 cube --metrics` emits) whose meta block carries the full A/B table
    and gate verdicts, and whose registry snapshot is the instrumented
@@ -46,6 +53,11 @@ type ab = {
 }
 
 let speedup ab = ab.ab_hash_seconds /. ab.ab_radix_seconds
+
+let fig4_trees = 800
+let fig4_axes = 7
+let fig4_runs = 7
+let fig4_gate = 1.5
 
 let minor_reduction ab =
   1.0 -. (ab.ab_radix_minor_words /. ab.ab_hash_minor_words)
@@ -138,6 +150,56 @@ let () =
      -%.1f%% (gate -30%%)\n"
     (speedup td)
     (100. *. minor_reduction td);
+  (* The Fig. 4-shaped BUC gate: interleaved runs of both configs, so a
+     drift in machine speed hits them alike; medians, not bests, because
+     the claim is about the typical run. *)
+  let fig4 =
+    let config =
+      {
+        Treebank.default with
+        num_trees = fig4_trees;
+        axes = fig4_axes;
+        coverage = false;
+        disjoint = true;
+        density = Treebank.Sparse;
+      }
+    in
+    let store = X3_xdb.Store.of_document (Treebank.generate config) in
+    Engine.prepare ~pool ~store (Treebank.spec config)
+  in
+  let fig4_csv config =
+    Export.csv_string ~func:Aggregate.Count
+      (fst (Engine.run ~config fig4 Engine.Buc))
+  in
+  let fig4_identical =
+    String.equal (fig4_csv radix_config) (fig4_csv hash_config)
+  in
+  let time config =
+    Gc.full_major ();
+    let t0 = Unix.gettimeofday () in
+    ignore (Engine.run ~config fig4 Engine.Buc);
+    Unix.gettimeofday () -. t0
+  in
+  let fig4_default = Array.make fig4_runs 0. in
+  let fig4_bits0 = Array.make fig4_runs 0. in
+  for i = 0 to fig4_runs - 1 do
+    fig4_default.(i) <- time radix_config;
+    fig4_bits0.(i) <- time hash_config
+  done;
+  let median a =
+    let a = Array.copy a in
+    Array.sort Float.compare a;
+    a.(Array.length a / 2)
+  in
+  let fig4_default = median fig4_default
+  and fig4_bits0 = median fig4_bits0 in
+  let fig4_ratio = fig4_default /. fig4_bits0 in
+  Printf.printf
+    "    BUC gate (fig4-shaped sparse trees=%d axes=%d, median of %d): \
+     default %8.4fs   radix_bits 0 %8.4fs   %5.2fx (gate %.1fx)  %s\n"
+    fig4_trees fig4_axes fig4_runs fig4_default fig4_bits0 fig4_ratio
+    fig4_gate
+    (if fig4_identical then "identical" else "DIVERGED");
   (* The instrumented radix TD run feeds the metrics document. *)
   let instr_t0 = Unix.gettimeofday () in
   let result, instr = Engine.run ~config:radix_config prepared Engine.Td in
@@ -174,6 +236,10 @@ let () =
             ("td_grouping_speedup_gate", Json.Float 1.5);
             ("td_minor_word_reduction", Json.Float (minor_reduction td));
             ("td_minor_word_reduction_gate", Json.Float 0.30);
+            ("buc_fig4_default_seconds", Json.Float fig4_default);
+            ("buc_fig4_radix_bits0_seconds", Json.Float fig4_bits0);
+            ("buc_fig4_slowdown", Json.Float fig4_ratio);
+            ("buc_fig4_slowdown_gate", Json.Float fig4_gate);
           ] );
     ]
   in
@@ -212,6 +278,19 @@ let () =
     Printf.eprintf
       "columnar-smoke: TD radix path cuts minor words by %.1f%% (< 30%%)\n"
       (100. *. minor_reduction td);
+    fail := true
+  end;
+  if not fig4_identical then begin
+    prerr_endline
+      "columnar-smoke: fig4-shaped BUC cube diverged between the default \
+       config and radix_bits = 0";
+    fail := true
+  end;
+  if fig4_ratio > fig4_gate then begin
+    Printf.eprintf
+      "columnar-smoke: fig4-shaped BUC on the default config is %.2fx \
+       slower than at radix_bits = 0 (> %.1fx)\n"
+      fig4_ratio fig4_gate;
     fail := true
   end;
   if !fail then exit 1

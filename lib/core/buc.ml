@@ -3,7 +3,6 @@ module State = X3_lattice.State
 module Axis = X3_pattern.Axis
 module Witness = X3_pattern.Witness
 module Columnar = Witness.Columnar
-module Quicksort = X3_storage.Quicksort
 
 type variant = [ `Plain | `Opt | `Custom of X3_lattice.Properties.t ]
 
@@ -44,25 +43,25 @@ let compute ~variant (ctx : Context.t) =
       in
       go 0
     in
-    let aggregate_into env cid key rows_lo rows_hi part =
-      (* Three aggregation modes (§3.4):
-         - BUC: representative rows, deduplicated by fact id — always
-           correct;
-         - BUCOPT: raw row counts, assuming strict disjointness globally —
-           cheap, and silently wrong when the assumption fails (a fact's
-           cartesian duplicates all get counted);
-         - BUCCUST: where the property oracle proves the cuboid disjoint,
-           count representative rows without identity tracking; elsewhere
-           run the full BUC aggregation. *)
-      let mode =
-        match variant with
-        | `Plain -> `Dedup
-        | `Opt -> `Raw
-        | `Custom props ->
-            if X3_lattice.Properties.cuboid_disjoint props cid then
-              `Representative
-            else `Dedup
-      in
+    (* Three aggregation modes (§3.4):
+       - BUC: representative rows, deduplicated by fact id — always
+         correct;
+       - BUCOPT: raw row counts, assuming strict disjointness globally —
+         cheap, and silently wrong when the assumption fails (a fact's
+         cartesian duplicates all get counted);
+       - BUCCUST: where the property oracle proves the cuboid disjoint,
+         count representative rows without identity tracking; elsewhere
+         run the full BUC aggregation. *)
+    let mode_of cid =
+      match variant with
+      | `Plain -> `Dedup
+      | `Opt -> `Raw
+      | `Custom props ->
+          if X3_lattice.Properties.cuboid_disjoint props cid then
+            `Representative
+          else `Dedup
+    in
+    let aggregate_into env (cid, mode) key rows_lo rows_hi part =
       let cell = lazy (Cube_result.cell result ~cuboid:cid ~key) in
       match mode with
       | `Raw ->
@@ -75,32 +74,44 @@ let compute ~variant (ctx : Context.t) =
               Aggregate.add (Lazy.force cell) (measure_row part.(i))
           done
       | `Dedup ->
-          let seen = Hashtbl.create 16 in
+          (* Every partition sort is stable and the root is in table
+             order, so each run lists its rows in table order — and a
+             fact's rows are contiguous in the table, so its
+             representatives are consecutive here: comparing with the
+             last fact counted removes every duplicate. *)
+          let last = ref min_int and tracked = ref 0 in
           for i = rows_lo to rows_hi do
             if represents env part.(i) then begin
               let fact = Columnar.fact cols part.(i) in
-              if not (Hashtbl.mem seen fact) then begin
-                Hashtbl.add seen fact ();
+              if fact <> !last then begin
+                last := fact;
+                incr tracked;
                 Aggregate.add (Lazy.force cell) (measure_row part.(i))
               end
             end
           done;
           env.instr.Instrument.dedup_tracked <-
-            env.instr.Instrument.dedup_tracked + Hashtbl.length seen
+            env.instr.Instrument.dedup_tracked + !tracked
     in
-    (* Is the current state vector a cuboid of the lattice?  Any axis left
-       Removed — skipped by the recursion or not yet reached — must
-       actually allow LND; otherwise this restriction is only an
-       intermediate step and must not be emitted. *)
-    let emittable env =
-      let rec go i =
+    (* The cuboid the current state vector emits into, with its
+       aggregation mode, or [None] when it is not a cuboid of the lattice:
+       any axis left Removed — skipped by the recursion or not yet
+       reached — must actually allow LND; otherwise this restriction is
+       only an intermediate step and must not be emitted. The vector is
+       fixed for a whole [branch] call, so this runs once per branch, not
+       once per cell. *)
+    let emit_target env =
+      let rec emittable i =
         i >= k
         || ((match env.states.(i) with
             | State.Removed -> Axis.allows_lnd axes.(i)
             | State.Present _ -> true)
-           && go (i + 1))
+           && emittable (i + 1))
       in
-      go 0
+      if emittable 0 then
+        let cid = Lattice.id lattice (Array.copy env.states) in
+        Some (cid, mode_of cid)
+      else None
     in
     (* Byte accounting runs only on the domain owning the shared context —
        workers' recursion is unaccounted (their branches are bounded by the
@@ -118,7 +129,7 @@ let compute ~variant (ctx : Context.t) =
         end
       end
     in
-    let rec refine env part lo hi next =
+    let rec refine env target part lo hi next =
       (* Stop check at partition boundaries — but only on the domain that
          owns the shared context (workers carry a private [instr]); a stop
          abandons the recursion with already-emitted cells intact. *)
@@ -128,13 +139,14 @@ let compute ~variant (ctx : Context.t) =
       end;
       (* Empty restrictions produce no groups (a group exists only if some
          fact is in it), matching the reference semantics. *)
-      if hi >= lo && emittable env then begin
-        let cid = Lattice.id lattice (Array.copy env.states) in
-        env.instr.Instrument.keys_built <- env.instr.Instrument.keys_built + 1;
-        aggregate_into env cid
-          (Group_key.of_axis_ids ctx.layout env.states env.ids)
-          lo hi part
-      end;
+      (match target with
+      | Some target when hi >= lo ->
+          env.instr.Instrument.keys_built <-
+            env.instr.Instrument.keys_built + 1;
+          aggregate_into env target
+            (Group_key.of_axis_ids ctx.layout env.states env.ids)
+            lo hi part
+      | _ -> ());
       for ai = next to k - 1 do
         List.iter
           (fun mask -> branch env part lo hi ai mask)
@@ -171,45 +183,49 @@ let compute ~variant (ctx : Context.t) =
         let sub_bytes =
           if governed && env.instr == ctx.instr then 8 * (n + 2) else 0
         in
-        Context.reserve ctx sub_bytes;
-        Fun.protect ~finally:(fun () -> Context.release ctx sub_bytes)
-        @@ fun () ->
-        (* Partition on the grouping id. A small dictionary gets a stable
-           O(n) counting sort on the ids (the radix tier of this family);
-           otherwise quicksort. Dictionary ids compare as plain ints
-           either way — no string walks. *)
-        env.instr.Instrument.sort_ops <- env.instr.Instrument.sort_ops + 1;
-        env.instr.Instrument.rows_sorted <-
-          env.instr.Instrument.rows_sorted + n;
-        let size = dict_sizes.(ai) in
-        if
-          ctx.radix_bits > 0
-          && Group_key.bits_for size <= Radix.counting_sort_bits_cap
-        then begin
-          env.instr.Instrument.radix_groupings <-
-            env.instr.Instrument.radix_groupings + 1;
-          Radix.counting_sort ~id:(fun r -> cell_id r ai) ~size sub
-        end
+        let partition () =
+          (* Partition on the grouping id, stably, at a cost proportional
+             to the partition (see [Radix.partition_sort]). Dictionary ids
+             compare as plain ints — no string walks. *)
+          let instr = env.instr in
+          (match
+             Radix.partition_sort ~radix_bits:ctx.radix_bits
+               ~id:(fun r -> cell_id r ai)
+               ~size:dict_sizes.(ai) sub
+           with
+          | Radix.Unsorted -> ()
+          | tier ->
+              instr.Instrument.sort_ops <- instr.Instrument.sort_ops + 1;
+              instr.Instrument.rows_sorted <- instr.Instrument.rows_sorted + n;
+              if tier = Radix.Counting then
+                instr.Instrument.radix_groupings <-
+                  instr.Instrument.radix_groupings + 1
+              else
+                instr.Instrument.hash_groupings <-
+                  instr.Instrument.hash_groupings + 1);
+          env.states.(ai) <- State.Present mask;
+          let target = emit_target env in
+          let run_start = ref 0 in
+          for i = 1 to n do
+            let boundary =
+              i = n || cell_id sub.(i) ai <> cell_id sub.(!run_start) ai
+            in
+            if boundary then begin
+              env.ids.(ai) <- cell_id sub.(!run_start) ai;
+              refine env target sub !run_start (i - 1) (ai + 1);
+              run_start := i
+            end
+          done;
+          env.states.(ai) <- State.Removed
+        in
+        (* The release closure is only needed when bytes were booked. *)
+        if sub_bytes = 0 then partition ()
         else begin
-          env.instr.Instrument.hash_groupings <-
-            env.instr.Instrument.hash_groupings + 1;
-          Quicksort.sort
-            ~compare:(fun a b -> Int.compare (cell_id a ai) (cell_id b ai))
-            sub
-        end;
-        env.states.(ai) <- State.Present mask;
-        let run_start = ref 0 in
-        for i = 1 to n do
-          let boundary =
-            i = n || cell_id sub.(i) ai <> cell_id sub.(!run_start) ai
-          in
-          if boundary then begin
-            env.ids.(ai) <- cell_id sub.(!run_start) ai;
-            refine env sub !run_start (i - 1) (ai + 1);
-            run_start := i
-          end
-        done;
-        env.states.(ai) <- State.Removed
+          Context.reserve ctx sub_bytes;
+          Fun.protect
+            ~finally:(fun () -> Context.release ctx sub_bytes)
+            partition
+        end
       end
     in
     let fresh_env ~instr =
@@ -227,7 +243,7 @@ let compute ~variant (ctx : Context.t) =
         let env = fresh_env ~instr:ctx.instr in
         X3_obs.Trace.with_span "buc.recursion"
           ~attrs:[ ("rows", X3_obs.Trace.Int nrows) ]
-          (fun () -> refine env root 0 (nrows - 1) 0)
+          (fun () -> refine env (emit_target env) root 0 (nrows - 1) 0)
       with Context.Stop _ -> ()
     end
     else begin
@@ -244,7 +260,8 @@ let compute ~variant (ctx : Context.t) =
         if governed then Context.reserve ctx (8 * (nrows + 2));
         (* The apex (everything Removed) belongs to no branch; [next = k]
            emits just it, on the calling domain. *)
-        refine (fresh_env ~instr:ctx.instr) root 0 (nrows - 1) k;
+        let env = fresh_env ~instr:ctx.instr in
+        refine env (emit_target env) root 0 (nrows - 1) k;
         let tasks =
           Array.of_list
             (List.concat_map

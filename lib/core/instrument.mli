@@ -23,9 +23,15 @@ type t = {
   mutable keys_built : int;  (** group keys assembled from rows *)
   mutable dict_size : int;  (** distinct dictionary values across axes *)
   mutable radix_groupings : int;
-      (** cuboid groupings served by a radix kernel (direct or partitioned) *)
+      (** TD, COUNTER, NAIVE: cuboid groupings served by a radix kernel
+          (direct or partitioned), one per cuboid. BUC: partition sorts
+          that took the counting-sort tier of {!Radix.partition_sort}. *)
   mutable hash_groupings : int;
-      (** cuboid groupings served by the hash / external-sort fallback *)
+      (** TD, COUNTER, NAIVE: cuboid groupings served by the hash /
+          external-sort fallback, one per cuboid. BUC: partition sorts
+          that took a comparison tier (insertion or merge sort); one-row
+          partitions are not sorted and count in neither, nor in
+          [sort_ops]. *)
   mutable radix_scratch_bytes : int;
       (** peak bytes of radix scratch (slot arrays, partition buffers) live
           at once *)

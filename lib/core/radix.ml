@@ -302,13 +302,28 @@ let partitioned p ~rows ~key ~fact ~measure ~dedup ~emit =
     end
   done
 
-(* --- stable counting sort on dictionary ids ------------------------------ *)
-(* BUC's partition step: when an axis's dictionary is small, a stable
-   counting sort of the row indices replaces the comparison sort — O(n)
-   and, being stable, a permutation that is a pure function of the input
-   order at any worker count. *)
+(* --- BUC's partition sort ------------------------------------------------ *)
+(* BUC partitions every restriction on one axis's dictionary ids, and its
+   deep levels are dominated by tiny partitions (on a sparse cube, about
+   one row each). A counting sort's histogram costs O(dictionary), so it
+   is only taken when the dictionary is small in absolute terms and
+   within a constant factor of the partition; everything else takes a
+   comparison sort, which costs O(n log n) with no dictionary term. Every
+   tier is stable, so the permutation is a pure function of the input
+   order at any worker count, and rows that were in table order before
+   the sort stay in table order inside each run of equal ids. *)
+
+type sort_tier = Unsorted | Counting | Insertion | Merge
 
 let counting_sort_bits_cap = direct_bits_cap
+
+(* A histogram of up to [counting_density * n] slots keeps the counting
+   tier O(n). *)
+let counting_density = 4
+
+(* Up to this many rows, an in-place insertion sort spares
+   [Array.stable_sort]'s temporary arrays. *)
+let insertion_cutoff = 16
 
 let counting_sort ~id ~size sub =
   let n = Array.length sub in
@@ -330,3 +345,36 @@ let counting_sort ~id ~size sub =
     counts.(v) <- counts.(v) + 1
   done;
   Array.blit out 0 sub 0 n
+
+(* Shifts only past strictly greater ids, so equal ids keep their order. *)
+let insertion_sort ~id sub =
+  for i = 1 to Array.length sub - 1 do
+    let r = sub.(i) in
+    let v = id r in
+    let j = ref (i - 1) in
+    while !j >= 0 && id sub.(!j) > v do
+      sub.(!j + 1) <- sub.(!j);
+      decr j
+    done;
+    sub.(!j + 1) <- r
+  done
+
+let partition_sort ~radix_bits ~id ~size sub =
+  let n = Array.length sub in
+  if n <= 1 then Unsorted
+  else if
+    radix_bits > 0
+    && Group_key.bits_for size <= counting_sort_bits_cap
+    && size <= counting_density * n
+  then begin
+    counting_sort ~id ~size sub;
+    Counting
+  end
+  else if n <= insertion_cutoff then begin
+    insertion_sort ~id sub;
+    Insertion
+  end
+  else begin
+    Array.stable_sort (fun a b -> Int.compare (id a) (id b)) sub;
+    Merge
+  end

@@ -100,12 +100,27 @@ val partitioned :
     per-partition aggregation over the low bits. [key r < 0] skips row
     [r]; [emit] receives groups in ascending compact-key order. *)
 
-(** {1 Stable counting sort}
+(** {1 BUC's partition sort}
 
-    BUC's partition step on a small dictionary: O(n), stable, and the
-    resulting permutation is a pure function of the input order. *)
+    Sorting a partition's row indices by one axis's dictionary ids costs
+    O(partition), with no dictionary-sized term: a counting sort runs
+    only when its histogram is within a constant factor of the
+    partition. Every tier is stable, and the resulting permutation is a
+    pure function of the input order. *)
+
+type sort_tier =
+  | Unsorted  (** zero or one row: nothing to do *)
+  | Counting  (** stable counting sort over the dictionary *)
+  | Insertion  (** stable insertion sort, small partitions *)
+  | Merge  (** [Array.stable_sort] *)
 
 val counting_sort_bits_cap : int
+(** Largest dictionary, in id bits (12), the counting tier accepts. *)
 
-val counting_sort : id:(int -> int) -> size:int -> int array -> unit
-(** Sort row indices by [id] (each in [0, size)), stably, in place. *)
+val partition_sort :
+  radix_bits:int -> id:(int -> int) -> size:int -> int array -> sort_tier
+(** Sort row indices by [id] (each in [0, size)), stably, in place, and
+    report the tier that ran. The counting tier runs when
+    [radix_bits > 0], the dictionary fits {!counting_sort_bits_cap} and
+    [size <= 4 * n]; otherwise insertion sort up to 16 rows and
+    [Array.stable_sort] above. [radix_bits = 0] never counts. *)

@@ -1545,20 +1545,31 @@ module Client = struct
             (try Unix.close fd with _ -> ());
             Error (Unix.error_message e))
 
-  let request ?deadline conn req =
+  (* The exchange with its failure still typed, so the retry loop can
+     tell a transient transport error from a deterministic one. *)
+  let exchange ?deadline conn req =
     let abs = Option.map (fun s -> Unix.gettimeofday () +. s) deadline in
     match
       Protocol.write_frame ?deadline:abs ?fault:conn.fault conn.fd
         (Protocol.encode_request req)
     with
-    | Error e -> Error (Protocol.frame_error_message e)
+    | Error e -> Error (`Frame e)
     | Ok () -> (
         match
           Protocol.read_frame ~max_bytes:conn.max_frame ?deadline:abs
             ?fault:conn.fault conn.fd
         with
-        | Error e -> Error (Protocol.frame_error_message e)
-        | Ok payload -> Protocol.decode_response payload)
+        | Error e -> Error (`Frame e)
+        | Ok payload ->
+            Result.map_error (fun m -> `Decode m)
+              (Protocol.decode_response payload))
+
+  let failure_message = function
+    | `Frame e -> Protocol.frame_error_message e
+    | `Connect m | `Decode m -> m
+
+  let request ?deadline conn req =
+    Result.map_error failure_message (exchange ?deadline conn req)
 
   let close conn = try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
@@ -1580,33 +1591,35 @@ module Client = struct
   (* One connection per attempt: the failures worth retrying (connection
      refused while the daemon restarts, Closed from a dropped connection,
      a typed retryable error like "rejected" or "shutting_down") all
-     leave the old connection useless. Backoff doubles per attempt with
-     jitter in [0.5, 1.5) so a thundering herd of retrying clients
-     spreads out. *)
+     leave the old connection useless. An answer over the frame cap is
+     not among them: the same request yields the same answer, so a retry
+     would only compute it again. Backoff doubles per attempt with jitter
+     in [0.5, 1.5) so a thundering herd of retrying clients spreads
+     out. *)
   let request_with_retry ?(retries = 3) ?(backoff = 0.05) ?(seed = 0)
       ?max_frame_bytes ?fault ?deadline address req =
     let state = ref (Int64.of_int (seed lxor 0x9E3779B9)) in
     let attempt_once () =
       match connect ?max_frame_bytes ?fault address with
-      | Error _ as e -> e
+      | Error m -> Error (`Connect m)
       | Ok conn ->
           Fun.protect
             ~finally:(fun () -> close conn)
-            (fun () -> request ?deadline conn req)
+            (fun () -> exchange ?deadline conn req)
     in
     let rec go n delay =
       let result = attempt_once () in
       let retryable =
         match result with
         | Ok (Protocol.Failed { code; _ }) -> Protocol.retryable_error code
-        | Ok _ -> false
+        | Ok _ | Error (`Frame (Protocol.Too_large _)) -> false
         | Error _ -> true
       in
       if retryable && n < retries then begin
         Unix.sleepf (delay *. (0.5 +. draw state));
         go (n + 1) (delay *. 2.)
       end
-      else result
+      else Result.map_error failure_message result
     in
     go 0 backoff
 end

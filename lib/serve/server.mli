@@ -174,5 +174,7 @@ module Client : sig
       attempts, sleeping [backoff * 2^attempt * jitter] seconds between
       them (default base 0.05 s, jitter in [0.5, 1.5) drawn from a
       splitmix64 stream seeded by [seed], so schedules are
-      reproducible). Non-retryable failures return immediately. *)
+      reproducible). Non-retryable failures return immediately, among
+      them an answer frame over [max_frame_bytes]: it is deterministic,
+      so it is computed once, not [retries + 1] times. *)
 end

@@ -1260,6 +1260,111 @@ let test_radix_hash_identity_treebank () =
   in
   check_radix_hash_identity "treebank" p
 
+(* --- BUC's partition sort ---------------------------------------------------- *)
+
+(* [Radix.partition_sort] against [List.stable_sort] on shuffled row
+   indices with random (often repeated) ids: every tier must sort
+   ascending and keep equal ids in input order, the counting tier must run
+   exactly when its rule says, and [radix_bits = 0] must never count. *)
+let test_partition_sort_kernel () =
+  let rng = Random.State.make [| 12 |] in
+  let cap = 1 lsl Radix.counting_sort_bits_cap in
+  let seen = Hashtbl.create 4 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun size ->
+          List.iter
+            (fun radix_bits ->
+              let ids = Array.init n (fun _ -> Random.State.int rng size) in
+              let sub = Array.init n Fun.id in
+              for i = n - 1 downto 1 do
+                let j = Random.State.int rng (i + 1) in
+                let t = sub.(i) in
+                sub.(i) <- sub.(j);
+                sub.(j) <- t
+              done;
+              let expected =
+                List.stable_sort
+                  (fun a b -> Int.compare ids.(a) ids.(b))
+                  (Array.to_list sub)
+              in
+              let tier =
+                Radix.partition_sort ~radix_bits ~id:(Array.get ids) ~size sub
+              in
+              Hashtbl.replace seen (radix_bits, tier) ();
+              let label = Printf.sprintf "n=%d size=%d bits=%d" n size radix_bits in
+              Alcotest.(check (list int))
+                (label ^ ": ascending and stable")
+                expected (Array.to_list sub);
+              Alcotest.(check bool)
+                (label ^ ": counting tier by the rule")
+                (radix_bits > 0 && n >= 2 && size <= cap && size <= 4 * n)
+                (tier = Radix.Counting);
+              Alcotest.(check bool)
+                (label ^ ": one row or none is not sorted")
+                (n <= 1) (tier = Radix.Unsorted))
+            [ Radix.default_radix_bits; 0 ])
+        [ 1; 2; 5; 64; 1000; cap; cap + 1; 2 * cap + 3 ])
+    [ 0; 1; 2; 16; 17; 1000 ];
+  List.iter
+    (fun tier ->
+      Alcotest.(check bool) "every tier exercised" true
+        (Hashtbl.mem seen (Radix.default_radix_bits, tier)))
+    Radix.[ Unsorted; Counting; Insertion; Merge ]
+
+(* BUC's fact-id dedup compares each row with the last fact counted, which
+   is exact only because every partition sort is stable. A non-disjoint
+   table (facts repeat on an axis) whose dictionary is over the counting
+   cap sends partitions through the comparison tiers; BUC and BUCCUST must
+   still match NAIVE byte for byte, on both grouping configs and at 1 and
+   2 workers. *)
+let test_buc_over_cap_nondisjoint () =
+  let config =
+    {
+      X3_workload.Treebank.default with
+      num_trees = 12000;
+      axes = 2;
+      disjoint = false;
+      density = X3_workload.Treebank.Sparse;
+    }
+  in
+  let store =
+    X3_xdb.Store.of_document (X3_workload.Treebank.generate config)
+  in
+  let p =
+    Engine.prepare ~pool:(small_pool ()) ~store
+      (X3_workload.Treebank.spec config)
+  in
+  let table = Engine.table p in
+  Alcotest.(check bool) "some dictionary is over the counting cap" true
+    (Array.exists
+       (fun size -> Group_key.bits_for size > Radix.counting_sort_bits_cap)
+       (Witness.dict_sizes table));
+  Alcotest.(check bool) "facts repeat on an axis" true
+    (Witness.row_count table > Witness.fact_count table);
+  let csv ?config ~workers algorithm =
+    Export.csv_string ~func:Aggregate.Count
+      (fst (Engine.run ?config ~workers p algorithm))
+  in
+  let reference = csv ~workers:1 Engine.Naive in
+  let hash_config = { Engine.default_config with Engine.radix_bits = 0 } in
+  List.iter
+    (fun algorithm ->
+      List.iter
+        (fun (cname, config) ->
+          List.iter
+            (fun workers ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s %s/%dw = NAIVE"
+                   (Engine.algorithm_to_string algorithm)
+                   cname workers)
+                reference
+                (csv ~config ~workers algorithm))
+            [ 1; 2 ])
+        [ ("default", Engine.default_config); ("radix_bits 0", hash_config) ])
+    Engine.[ Buc; Buccust ]
+
 (* --- Seen compaction ------------------------------------------------------- *)
 
 let test_seen_compaction () =
@@ -1793,6 +1898,10 @@ let () =
             test_radix_hash_identity_figure1;
           Alcotest.test_case "radix = hash on treebank" `Quick
             test_radix_hash_identity_treebank;
+          Alcotest.test_case "partition sort tiers: sorted and stable" `Quick
+            test_partition_sort_kernel;
+          Alcotest.test_case "BUC over the counting cap, non-disjoint" `Quick
+            test_buc_over_cap_nondisjoint;
         ] );
       ( "governor",
         [

@@ -330,6 +330,35 @@ let test_client_fault_retry () =
     ];
   await_drained h
 
+(* An answer over the client's frame cap is deterministic: retrying the
+   same request only computes the same oversized answer again, so the
+   client gives up after one attempt however many retries it may take. *)
+let test_oversized_answer_not_retried () =
+  with_figure1 @@ fun doc_path ->
+  with_server @@ fun h ->
+  (* A plan that never fires, there only to count the client's writes:
+     one request frame per attempt. *)
+  let plan = Net_fault.delay_nth Net_fault.Write max_int ~seconds:0. in
+  let before = stats_metric h "serve.requests.total" in
+  (match
+     Server.Client.request_with_retry ~retries:3 ~backoff:0.001
+       ~max_frame_bytes:64 ~fault:plan ~deadline:10.0 h.address
+       (cube_req ~no_cache:true ~doc:doc_path figure1_query)
+   with
+  | Error msg ->
+      let suffix = "over the cap" in
+      let n = String.length msg and m = String.length suffix in
+      Alcotest.(check string)
+        ("the failure names the frame cap: " ^ msg)
+        suffix
+        (if n >= m then String.sub msg (n - m) m else msg)
+  | Ok _ -> Alcotest.fail "an answer over a 64-byte cap was accepted");
+  Alcotest.(check int) "one attempt, no retries" 1 (Net_fault.writes_seen plan);
+  (* The stats request itself is the second one the daemon counts. *)
+  Alcotest.(check int) "the daemon computed the answer once" 2
+    (stats_metric h "serve.requests.total" - before);
+  await_drained h
+
 (* --- the accept loop survives transient errors --------------------------- *)
 
 let test_accept_loop_survives_emfile () =
@@ -915,6 +944,8 @@ let () =
             `Quick test_client_fault_retry;
           Alcotest.test_case "accept loop survives EMFILE" `Quick
             test_accept_loop_survives_emfile;
+          Alcotest.test_case "oversized answer is not retried" `Quick
+            test_oversized_answer_not_retried;
         ] );
       ( "slow-clients",
         [
