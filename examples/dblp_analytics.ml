@@ -66,7 +66,7 @@ let () =
       (fun i (key, cell) ->
         if i < n then
           Format.printf "  %-28s %5.0f articles@."
-            (String.concat ", " (X3_core.Group_key.decode key))
+            (String.concat ", " key)
             (X3_core.Aggregate.value X3_core.Aggregate.Count cell))
       ranked;
     Format.printf "@."
@@ -80,8 +80,7 @@ let () =
   let all_id = Lattice.most_relaxed_id lattice in
   let total =
     match
-      X3_core.Cube_result.find cube ~cuboid:all_id
-        ~key:(X3_core.Group_key.encode [])
+      X3_core.Cube_result.find cube ~cuboid:all_id ~key:[]
     with
     | Some cell -> X3_core.Aggregate.value X3_core.Aggregate.Count cell
     | None -> 0.

@@ -1,9 +1,8 @@
 module Lattice = X3_lattice.Lattice
 module Witness = X3_pattern.Witness
 
-(* Cells are stored under coded (packed-integer) keys; the legacy
-   string-keyed API below decodes through the witness dictionaries, so the
-   export/pivot/test boundary still sees length-prefixed value lists. *)
+(* Cells are stored under coded (packed-integer) keys; the value-keyed API
+   below translates through the witness dictionaries. *)
 
 type t = {
   lattice : Lattice.t;
@@ -47,39 +46,64 @@ let cuboid_size t cuboid = Group_key.Tbl.length t.cells.(cuboid)
 let total_cells t =
   Array.fold_left (fun acc tbl -> acc + Group_key.Tbl.length tbl) 0 t.cells
 
-(* --- the string boundary ------------------------------------------------ *)
+(* --- values: export, pivot and tests -------------------------------------- *)
 
 let states t cuboid = Lattice.cuboid t.lattice cuboid
+let dicts t = Witness.dicts t.table
 
-let legacy_key t cuboid key =
-  Group_key.encode
-    (Group_key.to_parts t.layout ~dicts:(Witness.dicts t.table)
-       (states t cuboid) key)
-
-let coded_key t cuboid legacy =
-  Group_key.of_parts t.layout ~dicts:(Witness.dicts t.table) (states t cuboid)
-    (Group_key.decode legacy)
+let values t ~cuboid key =
+  Group_key.to_parts t.layout ~dicts:(dicts t) (states t cuboid) key
 
 let find t ~cuboid ~key =
-  match coded_key t cuboid key with
+  match Group_key.of_parts t.layout ~dicts:(dicts t) (states t cuboid) key with
   | None -> None
   | Some k -> find_coded t ~cuboid ~key:k
 
+(* Ranks are built lazily, once per axis, for every cuboid sorted through
+   the same [ordered t]. *)
+let ordered t =
+  let ranks = Array.map (fun d -> lazy (Group_key.rank d)) (dicts t) in
+  fun cuboid ->
+    let cells =
+      Group_key.Tbl.fold (fun key c acc -> (key, c) :: acc) t.cells.(cuboid) []
+      |> Array.of_list
+    in
+    let present =
+      List.filter_map
+        (fun ai ->
+          match (states t cuboid).(ai) with
+          | X3_lattice.State.Removed -> None
+          | X3_lattice.State.Present _ -> Some (ai, Lazy.force ranks.(ai)))
+        (List.init (Array.length ranks) Fun.id)
+      |> Array.of_list
+    in
+    let rec compare_from i a b =
+      if i = Array.length present then 0
+      else
+        let axis, rank = present.(i) in
+        let c =
+          Int.compare
+            rank.(Group_key.id_at t.layout a ~axis)
+            rank.(Group_key.id_at t.layout b ~axis)
+        in
+        if c <> 0 then c else compare_from (i + 1) a b
+    in
+    Array.sort (fun (a, _) (b, _) -> compare_from 0 a b) cells;
+    cells
+
 let cuboid_cells t cuboid =
-  Group_key.Tbl.fold
-    (fun key c acc -> (legacy_key t cuboid key, c) :: acc)
-    t.cells.(cuboid) []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  Array.fold_right
+    (fun (key, c) acc -> (values t ~cuboid key, c) :: acc)
+    (ordered t cuboid) []
 
 let iter f t =
   Array.iteri
-    (fun cuboid tbl ->
-      Group_key.Tbl.iter
-        (fun key c -> f ~cuboid ~key:(legacy_key t cuboid key) c)
-        tbl)
+    (fun cuboid tbl -> Group_key.Tbl.iter (fun key c -> f ~cuboid ~key c) tbl)
     t.cells
 
-(* Comparison decodes keys on both sides: the cubes may come from
+let render parts = "(" ^ String.concat ", " parts ^ ")"
+
+(* Comparison goes through values on both sides: the cubes may come from
    separately materialised tables whose dictionaries assign different
    ids to the same values. *)
 let first_difference ~func a b =
@@ -93,22 +117,18 @@ let first_difference ~func a b =
           Group_key.Tbl.iter
             (fun key ca ->
               if !found = None then begin
-                let legacy = legacy_key a cuboid key in
-                let cb =
-                  match coded_key b cuboid legacy with
-                  | None -> None
-                  | Some k -> find_coded b ~cuboid ~key:k
-                in
-                match cb with
+                let parts = values a ~cuboid key in
+                match find b ~cuboid ~key:parts with
                 | None ->
                     found :=
-                      Some (cuboid, legacy, "group missing from second cube")
+                      Some
+                        (cuboid, render parts, "group missing from second cube")
                 | Some cb ->
                     if not (Aggregate.equal_value func ca cb) then
                       found :=
                         Some
                           ( cuboid,
-                            legacy,
+                            render parts,
                             Printf.sprintf "%g <> %g"
                               (Aggregate.value func ca)
                               (Aggregate.value func cb) )
@@ -117,14 +137,10 @@ let first_difference ~func a b =
           Group_key.Tbl.iter
             (fun key _ ->
               if !found = None then begin
-                let legacy = legacy_key b cuboid key in
-                let present =
-                  match coded_key a cuboid legacy with
-                  | None -> false
-                  | Some k -> find_coded a ~cuboid ~key:k <> None
-                in
-                if not present then
-                  found := Some (cuboid, legacy, "extra group in second cube")
+                let parts = values b ~cuboid key in
+                if find a ~cuboid ~key:parts = None then
+                  found :=
+                    Some (cuboid, render parts, "extra group in second cube")
               end)
             b.cells.(cuboid)
         end)
@@ -135,19 +151,21 @@ let first_difference ~func a b =
 let equal ~func a b = first_difference ~func a b = None
 
 let pp ?(max_groups = 20) ~func ppf t =
+  let ordered = ordered t in
   Array.iter
     (fun cuboid ->
-      let groups = cuboid_cells t cuboid in
+      let groups = ordered cuboid in
       Format.fprintf ppf "cuboid %d %s: %d group(s)@." cuboid
         (X3_lattice.Cuboid.to_string
            (Lattice.axes t.lattice)
            (Lattice.cuboid t.lattice cuboid))
-        (List.length groups);
-      List.iteri
+        (Array.length groups);
+      Array.iteri
         (fun i (key, c) ->
           if i < max_groups then
-            Format.fprintf ppf "  %a %a@." Group_key.pp key (Aggregate.pp func)
-              c
+            Format.fprintf ppf "  %s %a@."
+              (render (values t ~cuboid key))
+              (Aggregate.pp func) c
           else if i = max_groups then Format.fprintf ppf "  ...@.")
         groups)
     (Lattice.by_degree t.lattice)

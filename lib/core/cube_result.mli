@@ -1,10 +1,9 @@
 (** A computed cube: one aggregate cell per (cuboid, group).
 
     Cells live under coded integer keys ({!Group_key.t}) — the algorithms
-    never touch strings. The string-keyed half of this interface is the
-    {e decode-on-export} boundary: it translates through the witness
-    table's dictionaries so export, pivot and tests keep exchanging
-    length-prefixed value lists ({!Group_key.encode}). *)
+    never touch strings. The value half of this interface translates
+    through the witness table's dictionaries: a group is named by its list
+    of values, one per present axis in axis order. *)
 
 type t
 
@@ -37,17 +36,25 @@ val cuboid_size : t -> int -> int
 val total_cells : t -> int
 (** The paper's "cube result size" — cells summed over all cuboids. *)
 
-(** {1 String access — the decode-on-export boundary} *)
+(** {1 Value access — export, pivot and tests} *)
 
-val find : t -> cuboid:int -> key:string -> Aggregate.cell option
-(** [key] is a legacy encoded value list. [None] when some value never
-    occurs on its axis, or the group does not exist. *)
+val find : t -> cuboid:int -> key:string list -> Aggregate.cell option
+(** [None] when some value never occurs on its axis, or the group does not
+    exist. Raises [Invalid_argument] when [key] does not hold one value per
+    present axis. *)
 
-val cuboid_cells : t -> int -> (string * Aggregate.cell) list
-(** Groups of one cuboid as legacy encoded keys, sorted by encoded key for
-    deterministic output (the historical order). *)
+val ordered : t -> int -> (Group_key.t * Aggregate.cell) array
+(** [ordered t cuboid]: the cuboid's groups in output order — component by
+    component, by {!Group_key.compare_values}. Partially applied,
+    [ordered t] ranks each axis dictionary at most once across all the
+    cuboids it is then applied to. *)
 
-val iter : (cuboid:int -> key:string -> Aggregate.cell -> unit) -> t -> unit
+val cuboid_cells : t -> int -> (string list * Aggregate.cell) list
+(** {!ordered}, with each key as its values. *)
+
+val iter :
+  (cuboid:int -> key:Group_key.t -> Aggregate.cell -> unit) -> t -> unit
+(** Every cell of every cuboid, in no particular order. *)
 
 val equal : func:Aggregate.func -> t -> t -> bool
 (** Same groups with the same aggregate values in every cuboid. Keys are
@@ -56,8 +63,8 @@ val equal : func:Aggregate.func -> t -> t -> bool
 
 val first_difference :
   func:Aggregate.func -> t -> t -> (int * string * string) option
-(** A human-readable witness of inequality: cuboid id, legacy key,
-    description. *)
+(** A human-readable witness of inequality: cuboid id, the group's values
+    rendered as [(a, b)], description. *)
 
 val pp :
   ?max_groups:int -> func:Aggregate.func -> Format.formatter -> t -> unit

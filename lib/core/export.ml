@@ -1,6 +1,7 @@
 module Lattice = X3_lattice.Lattice
 module State = X3_lattice.State
 module Axis = X3_pattern.Axis
+module Witness = X3_pattern.Witness
 
 let csv_quote field =
   let needs_quoting =
@@ -19,22 +20,15 @@ let csv_quote field =
     Buffer.contents buf
   end
 
-(* Distribute a group key's values over the axis columns: present axes
-   consume key components in order, removed axes print (ALL). *)
-let axis_columns cuboid key =
-  let parts = ref (Group_key.decode key) in
-  Array.to_list
-    (Array.map
-       (fun state ->
-         match state with
-         | State.Removed -> "(ALL)"
-         | State.Present _ -> (
-             match !parts with
-             | part :: rest ->
-                 parts := rest;
-                 part
-             | [] -> invalid_arg "Export: key shorter than present axes"))
-       cuboid)
+(* One column per axis: the grouping value straight from the axis
+   dictionary when the axis is present, (ALL) when it is removed. *)
+let axis_column result cuboid key ai =
+  match cuboid.(ai) with
+  | State.Removed -> "(ALL)"
+  | State.Present _ ->
+      Witness.Dict.value
+        (Witness.dict (Cube_result.table result) ai)
+        (Group_key.id_at (Cube_result.layout result) key ~axis:ai)
 
 let float_repr v =
   if Float.is_integer v && Float.abs v < 1e15 then
@@ -53,23 +47,22 @@ let to_csv ~func buf result =
   Buffer.add_char buf ',';
   Buffer.add_string buf (Aggregate.func_to_string func);
   Buffer.add_char buf '\n';
+  let ordered = Cube_result.ordered result in
   Array.iter
     (fun id ->
       let cuboid = Lattice.cuboid lattice id in
-      List.iter
+      let prefix = Printf.sprintf "%d,%d" id (Lattice.degree lattice id) in
+      Array.iter
         (fun (key, cell) ->
-          Buffer.add_string buf (string_of_int id);
-          Buffer.add_char buf ',';
-          Buffer.add_string buf (string_of_int (Lattice.degree lattice id));
-          List.iter
-            (fun column ->
-              Buffer.add_char buf ',';
-              Buffer.add_string buf (csv_quote column))
-            (axis_columns cuboid key);
+          Buffer.add_string buf prefix;
+          for ai = 0 to Array.length cuboid - 1 do
+            Buffer.add_char buf ',';
+            Buffer.add_string buf (csv_quote (axis_column result cuboid key ai))
+          done;
           Buffer.add_char buf ',';
           Buffer.add_string buf (float_repr (Aggregate.value func cell));
           Buffer.add_char buf '\n')
-        (Cube_result.cuboid_cells result id))
+        (ordered id))
     (Lattice.by_degree lattice)
 
 let csv_string ~func result =
@@ -100,6 +93,7 @@ let to_json ~func buf result =
     Buffer.add_char buf '"'
   in
   Buffer.add_string buf "[";
+  let ordered = Cube_result.ordered result in
   let first_cuboid = ref true in
   Array.iter
     (fun id ->
@@ -118,22 +112,27 @@ let to_json ~func buf result =
         cuboid;
       Buffer.add_string buf "], \"groups\": [";
       let first_group = ref true in
-      List.iter
+      Array.iter
         (fun (key, cell) ->
           if not !first_group then Buffer.add_string buf ", ";
           first_group := false;
           Buffer.add_string buf "{\"key\": [";
-          List.iteri
-            (fun i part ->
-              if i > 0 then Buffer.add_string buf ", ";
-              add_string part)
-            (Group_key.decode key);
+          let first_part = ref true in
+          Array.iteri
+            (fun ai state ->
+              match state with
+              | State.Removed -> ()
+              | State.Present _ ->
+                  if not !first_part then Buffer.add_string buf ", ";
+                  first_part := false;
+                  add_string (axis_column result cuboid key ai))
+            cuboid;
           Buffer.add_string buf "], \"value\": ";
           let v = Aggregate.value func cell in
           Buffer.add_string buf
             (if Float.is_nan v then "null" else float_repr v);
           Buffer.add_string buf "}")
-        (Cube_result.cuboid_cells result id);
+        (ordered id);
       Buffer.add_string buf "]}")
     (Lattice.by_degree lattice);
   Buffer.add_string buf "\n]\n"

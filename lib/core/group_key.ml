@@ -2,59 +2,6 @@ module State = X3_lattice.State
 module Witness = X3_pattern.Witness
 module Dict = Witness.Dict
 
-(* --- legacy string keys ------------------------------------------------- *)
-(* Components encoded as [u16 length | bytes]. This codec remains the
-   external boundary (export, pivot, tests): the algorithms group on the
-   packed integer keys below and decode through the dictionaries only when
-   a result leaves the engine. *)
-
-let encode parts =
-  let buf = Buffer.create 32 in
-  List.iter
-    (fun part ->
-      let n = String.length part in
-      if n > 0xFFFF then invalid_arg "Group_key.encode: component too long";
-      Buffer.add_char buf (Char.chr (n land 0xFF));
-      Buffer.add_char buf (Char.chr ((n lsr 8) land 0xFF));
-      Buffer.add_string buf part)
-    parts;
-  Buffer.contents buf
-
-let decode key =
-  let len = String.length key in
-  let rec go pos acc =
-    if pos = len then List.rev acc
-    else if pos + 2 > len then invalid_arg "Group_key.decode: truncated"
-    else begin
-      let n = Char.code key.[pos] lor (Char.code key.[pos + 1] lsl 8) in
-      if pos + 2 + n > len then invalid_arg "Group_key.decode: truncated";
-      go (pos + 2 + n) (String.sub key (pos + 2) n :: acc)
-    end
-  in
-  go 0 []
-
-let project_strings ~from_ ~to_ key =
-  let parts = decode key in
-  let kept = ref [] in
-  let rest = ref parts in
-  Array.iteri
-    (fun ai from_state ->
-      match from_state with
-      | State.Removed -> ()
-      | State.Present _ -> (
-          match !rest with
-          | part :: tail ->
-              rest := tail;
-              (match to_.(ai) with
-              | State.Removed -> ()
-              | State.Present _ -> kept := part :: !kept)
-          | [] -> invalid_arg "Group_key.project_strings: key too short"))
-    from_;
-  encode (List.rev !kept)
-
-let pp ppf key =
-  Format.fprintf ppf "(%s)" (String.concat ", " (decode key))
-
 (* --- packed integer keys ------------------------------------------------ *)
 (* Per-axis dictionary ids packed into bit fields of one tagged int when the
    widths fit, with an int-array fallback otherwise. An axis whose
@@ -265,6 +212,31 @@ let to_parts layout ~dicts cuboid key =
         parts := Dict.value dicts.(ai) (id_at layout key ~axis:ai) :: !parts
   done;
   !parts
+
+(* --- output order ------------------------------------------------------- *)
+(* Exported groups are listed in the byte order of their values written as
+   [u16 little-endian length | bytes] per component: the order every
+   release so far has printed. Comparing those encodings component by
+   component means low length byte, then high length byte, then bytes —
+   so a 256-byte value sorts before a 1-byte one. *)
+
+let compare_values a b =
+  let la = String.length a and lb = String.length b in
+  let c = Int.compare (la land 0xFF) (lb land 0xFF) in
+  if c <> 0 then c
+  else
+    let c = Int.compare (la lsr 8) (lb lsr 8) in
+    if c <> 0 then c else String.compare a b
+
+let rank dict =
+  let n = Dict.size dict in
+  let by_value = Array.init n Fun.id in
+  Array.stable_sort
+    (fun i j -> compare_values (Dict.value dict i) (Dict.value dict j))
+    by_value;
+  let rank = Array.make n 0 in
+  Array.iteri (fun pos id -> rank.(id) <- pos) by_value;
+  rank
 
 (* --- order-agnostic serialisation for external sort --------------------- *)
 (* Big-endian fixed-width bytes: [String.compare] over sortable forms is a

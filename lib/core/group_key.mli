@@ -9,29 +9,10 @@
     for already-seen groups), hash them with the specialised {!Tbl}, and
     re-key between cuboids with {!project} (a mask on the packed form).
 
-    The legacy length-prefixed string codec ({!encode} / {!decode}) remains
-    the external boundary: export, pivot and the test suite exchange keys
-    as encoded value lists, which [Cube_result] maps onto coded keys via
-    the dictionaries ({!of_parts} / {!to_parts}). *)
-
-(** {1 Legacy string keys — the export boundary} *)
-
-val encode : string list -> string
-(** Length-prefixed components ([u16 length | bytes] each). Raises
-    [Invalid_argument] when a component exceeds 65535 bytes — the coded
-    path has no such ceiling (dictionary values are 32-bit length). *)
-
-val decode : string -> string list
-(** Raises [Invalid_argument] on malformed input. *)
-
-val project_strings :
-  from_:X3_lattice.Cuboid.t -> to_:X3_lattice.Cuboid.t -> string -> string
-(** Re-key an encoded string key from a finer cuboid to a coarser one by
-    dropping the components of axes that the coarser cuboid removes. [to_]
-    must be at least as relaxed as [from_] axis-by-axis. *)
-
-val pp : Format.formatter -> string -> unit
-(** Renders the decoded components, e.g. [(John, p1, 2003)]. *)
+    Values leave the engine only through the dictionaries: export, pivot
+    and views map a coded key back to one value per present axis
+    ({!to_parts}, or {!id_at} and [Witness.Dict.value] per column), and
+    list groups in {!compare_values} order through per-axis {!rank}s. *)
 
 (** {1 Packed integer keys — the algorithms' working form} *)
 
@@ -110,6 +91,18 @@ val to_parts :
   t ->
   string list
 (** Decode back to the present axes' values, in axis order. *)
+
+(** {2 Output order} *)
+
+val compare_values : string -> string -> int
+(** The order groups are listed in, per component: by [length land 0xFF],
+    then [length lsr 8], then bytes — the byte order of [u16]
+    little-endian length-prefixed values, so a 256-byte value sorts before
+    a 1-byte one. Groups compare component by component in axis order. *)
+
+val rank : X3_pattern.Witness.Dict.t -> int array
+(** [rank d] maps each id of [d] to the position of its value in
+    {!compare_values} order: comparing ranks compares values. *)
 
 (** {2 Serialisation for the external sort} *)
 

@@ -6,7 +6,7 @@ module Witness = X3_pattern.Witness
 module Int_set = Set.Make (Int)
 
 (* Groups are kept under coded keys relative to the source table's
-   dictionaries; the string-keyed accessors decode at the boundary, like
+   dictionaries; the value-keyed accessors translate through them, like
    Cube_result. *)
 type t = {
   cuboid_id : int;
@@ -23,9 +23,7 @@ let group_count t = Group_key.Tbl.length t.groups
 let states t = Lattice.cuboid t.lattice t.cuboid_id
 
 let fact_items t ~key =
-  match
-    Group_key.of_parts t.layout ~dicts:t.dicts (states t) (Group_key.decode key)
-  with
+  match Group_key.of_parts t.layout ~dicts:t.dicts (states t) key with
   | None -> []
   | Some coded -> (
       match Group_key.Tbl.find_opt t.groups coded with
@@ -99,14 +97,14 @@ let cell_of_facts t facts =
   Int_set.iter (fun fact -> Aggregate.add cell (t.measure fact)) facts;
   cell
 
-let legacy_key t key =
-  Group_key.encode (Group_key.to_parts t.layout ~dicts:t.dicts (states t) key)
+let values t key = Group_key.to_parts t.layout ~dicts:t.dicts (states t) key
 
 let cells t =
   Group_key.Tbl.fold
-    (fun key facts acc -> (legacy_key t key, cell_of_facts t !facts) :: acc)
+    (fun key facts acc -> (values t key, cell_of_facts t !facts) :: acc)
     t.groups []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.sort (fun (a, _) (b, _) ->
+         List.compare Group_key.compare_values a b)
 
 let rollup_unchecked (ctx : Context.t) t ~coarser =
   let coarse = Lattice.cuboid ctx.lattice coarser in
@@ -172,10 +170,16 @@ let rollup (ctx : Context.t) ~props t ~coarser =
   end
 
 (* --- snapshot persistence ---------------------------------------------- *)
-(* The portable form of a view is its legacy string keys plus fact-id sets:
+(* The portable form of a view is its groups' values plus fact-id sets:
    coded keys are relative to one table's dictionaries, so persisting them
    would tie the snapshot to dictionary iteration order. Load re-interns
-   through [Group_key.of_parts] against the context it is loaded into. *)
+   through [Group_key.of_parts] against the context it is loaded into.
+
+   Records: one 'M' header (cuboid id, group count), then per group one
+   'K' record — for each present axis a u32 length and the value's bytes,
+   then a u32 fact count and the u32 fact ids. 'G' group records (one
+   u16-length-prefixed key string) are an older format, refused: a view
+   is cheap to recompute, and a refused one is never misread. *)
 
 let add_u32 buf v =
   for shift = 0 to 3 do
@@ -196,10 +200,12 @@ let to_records t =
     Group_key.Tbl.fold
       (fun key facts acc ->
         let buf = Buffer.create 64 in
-        Buffer.add_char buf 'G';
-        let legacy = legacy_key t key in
-        add_u32 buf (String.length legacy);
-        Buffer.add_string buf legacy;
+        Buffer.add_char buf 'K';
+        List.iter
+          (fun v ->
+            add_u32 buf (String.length v);
+            Buffer.add_string buf v)
+          (values t key);
         add_u32 buf (Int_set.cardinal !facts);
         Int_set.iter (fun fact -> add_u32 buf fact) !facts;
         Buffer.contents buf :: acc)
@@ -209,24 +215,40 @@ let to_records t =
 
 let save t store = X3_storage.Snapshot_store.commit store (to_records t)
 
-let parse_group record =
+(* [arity] values, then the fact list, filling the record exactly. *)
+let parse_group ~arity record =
   let len = String.length record in
-  if len < 9 || record.[0] <> 'G' then Error "view snapshot: bad group record"
-  else
-    let keylen = read_u32 record 1 in
-    if 5 + keylen + 4 > len then Error "view snapshot: truncated key"
+  let fits pos n = pos + n <= len in
+  let rec read_values n pos acc =
+    if n = 0 then Ok (List.rev acc, pos)
+    else if not (fits pos 4) then Error "view snapshot: truncated key"
     else
-      let key = String.sub record 5 keylen in
-      let nfacts = read_u32 record (5 + keylen) in
-      if 9 + keylen + (4 * nfacts) <> len then
-        Error "view snapshot: truncated fact list"
-      else begin
-        let facts = ref Int_set.empty in
-        for i = 0 to nfacts - 1 do
-          facts := Int_set.add (read_u32 record (9 + keylen + (4 * i))) !facts
-        done;
-        Ok (key, !facts)
-      end
+      let vlen = read_u32 record pos in
+      if not (fits (pos + 4) vlen) then Error "view snapshot: truncated key"
+      else
+        read_values (n - 1) (pos + 4 + vlen)
+          (String.sub record (pos + 4) vlen :: acc)
+  in
+  if len = 0 then Error "view snapshot: empty group record"
+  else if record.[0] = 'G' then
+    Error "view snapshot: group record in an older format (string keys)"
+  else if record.[0] <> 'K' then Error "view snapshot: bad group record"
+  else
+    match read_values arity 1 [] with
+    | Error _ as e -> e
+    | Ok (key, pos) ->
+        if not (fits pos 4) then Error "view snapshot: truncated fact list"
+        else
+          let nfacts = read_u32 record pos in
+          if pos + 4 + (4 * nfacts) <> len then
+            Error "view snapshot: truncated fact list"
+          else begin
+            let facts = ref Int_set.empty in
+            for i = 0 to nfacts - 1 do
+              facts := Int_set.add (read_u32 record (pos + 4 + (4 * i))) !facts
+            done;
+            Ok (key, !facts)
+          end
 
 let of_records (ctx : Context.t) records =
   match records with
@@ -244,6 +266,13 @@ let of_records (ctx : Context.t) records =
                cuboid_id (Lattice.size ctx.lattice))
         else begin
           let cuboid = Lattice.cuboid ctx.lattice cuboid_id in
+          let arity =
+            Array.fold_left
+              (fun n -> function
+                | X3_lattice.State.Removed -> n
+                | X3_lattice.State.Present _ -> n + 1)
+              0 cuboid
+          in
           let dicts = Witness.dicts ctx.table in
           let groups = Group_key.Tbl.create (max 16 expected) in
           let rec go = function
@@ -261,20 +290,16 @@ let of_records (ctx : Context.t) records =
                       groups;
                     }
             | record :: rest -> (
-                match parse_group record with
+                match parse_group ~arity record with
                 | Error _ as e -> e
                 | Ok (key, facts) -> (
-                    match
-                      Group_key.of_parts ctx.layout ~dicts cuboid
-                        (Group_key.decode key)
-                    with
-                    | exception Invalid_argument msg -> Error msg
+                    match Group_key.of_parts ctx.layout ~dicts cuboid key with
                     | None ->
                         Error
                           (Printf.sprintf
-                             "view snapshot: group %S names values unknown \
+                             "view snapshot: group (%s) names values unknown \
                               to this witness table"
-                             key)
+                             (String.concat ", " key))
                     | Some coded ->
                         Group_key.Tbl.replace groups coded (ref facts);
                         go rest))
@@ -286,19 +311,19 @@ let of_records (ctx : Context.t) records =
 let load (ctx : Context.t) store =
   of_records ctx (X3_storage.Snapshot_store.read store)
 
+(* A view and the result it fills share the session's dictionaries, so
+   re-keying is by id alone; the layouts may still differ if the
+   dictionaries grew in between. *)
 let to_result t result =
   let cuboid = states t in
   let layout = Cube_result.layout result in
-  let dicts = Witness.dicts (Cube_result.table result) in
+  let ids = Array.make (Array.length cuboid) 0 in
   Group_key.Tbl.iter
     (fun key facts ->
-      let parts = Group_key.to_parts t.layout ~dicts:t.dicts cuboid key in
-      match Group_key.of_parts layout ~dicts cuboid parts with
-      | Some key' ->
-          Cube_result.set_cell result ~cuboid:t.cuboid_id ~key:key'
-            (cell_of_facts t !facts)
-      | None ->
-          invalid_arg
-            "Materialized.to_result: group value unknown to the result's \
-             table")
+      Array.iteri
+        (fun axis _ -> ids.(axis) <- Group_key.id_at t.layout key ~axis)
+        ids;
+      Cube_result.set_cell result ~cuboid:t.cuboid_id
+        ~key:(Group_key.of_axis_ids layout cuboid ids)
+        (cell_of_facts t !facts))
     t.groups

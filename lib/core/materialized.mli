@@ -20,8 +20,9 @@ type t
 
 val cuboid_id : t -> int
 val group_count : t -> int
-val fact_items : t -> key:string -> int list
-(** Sorted fact ids of one group ([[]] when the group is absent). *)
+val fact_items : t -> key:string list -> int list
+(** Sorted fact ids of one group, named by its values (one per present
+    axis, in axis order); [[]] when the group is absent. *)
 
 val materialize : Context.t -> cuboid:int -> t
 (** One scan of the witness table, collecting groups with fact sets. *)
@@ -39,8 +40,9 @@ val approx_bytes : t -> int
     following the {!Governor} cost-model conventions — what a byte-budgeted
     cuboid cache charges per entry. *)
 
-val cells : t -> (string * Aggregate.cell) list
-(** The group aggregates, sorted by key. *)
+val cells : t -> (string list * Aggregate.cell) list
+(** The group aggregates keyed by their values, in output order
+    ({!Group_key.compare_values}, component by component). *)
 
 val rollup :
   Context.t ->
@@ -59,23 +61,25 @@ val rollup_unchecked : Context.t -> t -> coarser:int -> t
     demonstrate the §3.6 failure mode. *)
 
 val to_result : t -> Cube_result.t -> unit
-(** Copy the intermediate's cells into a cube result. *)
+(** Copy the intermediate's cells into a cube result built over the same
+    witness table (keys are re-coded by dictionary id). *)
 
 (** {1 Crash-safe persistence} *)
 
 val save : t -> X3_storage.Snapshot_store.t -> unit
-(** Atomically commit the view (group keys + fact sets) to [store] —
-    portable string keys, so the snapshot is independent of the source
-    table's dictionary order. *)
+(** Atomically commit the view (group values + fact sets) to [store].
+    Each present axis's value is stored with a u32 length, so the
+    snapshot is independent of the source table's dictionary order and
+    has no value-length ceiling. *)
 
 val load : Context.t -> X3_storage.Snapshot_store.t -> (t, string) result
 (** Rebuild a view from the store's committed snapshot against [ctx]'s
-    table; [Error] when a record is malformed or names values the table
-    does not contain. *)
+    table; [Error] when a record is malformed, is in the older
+    string-key format, or names values the table does not contain. *)
 
 val to_records : t -> string list
 (** The view's portable record stream (one ['M'] header carrying the
-    cuboid id and group count, then one ['G'] record per group) — the
+    cuboid id and group count, then one ['K'] record per group) — the
     unit {!save} commits, exposed so several views can share one store
     (the serve daemon's warm-restart snapshot packs a whole cache). *)
 

@@ -1,6 +1,7 @@
 module Lattice = X3_lattice.Lattice
 module State = X3_lattice.State
 module Axis = X3_pattern.Axis
+module Witness = X3_pattern.Witness
 
 type t = {
   row_labels : string list;
@@ -50,57 +51,53 @@ let make ~func ~row_axis ?(row_state = 0) ~col_axis ?(col_state = 0) result =
   let* row_id = cuboid_with lattice [ (row_axis, row_state) ] in
   let* col_id = cuboid_with lattice [ (col_axis, col_state) ] in
   let* all_id = cuboid_with lattice [] in
-  (* Collect the label sets from the marginal cuboids (they see every
-     group, including ones empty in the body). *)
-  let labels_of id =
-    List.map
-      (fun (key, _) ->
-        match Group_key.decode key with
-        | [ v ] -> v
-        | _ -> invalid_arg "Pivot: marginal key arity")
-      (Cube_result.cuboid_cells result id)
+  let layout = Cube_result.layout result in
+  let table = Cube_result.table result in
+  let ordered = Cube_result.ordered result in
+  (* Labels and totals come from the marginal cuboids (they see every
+     group, including ones empty in the body); [pos.(id)] is the label
+     index of dictionary id [id] on the axis. *)
+  let marginal id axis =
+    let dict = Witness.dict table axis in
+    let pos = Array.make (Witness.Dict.size dict) (-1) in
+    let groups = ordered id in
+    let labels =
+      Array.mapi
+        (fun i (key, _) ->
+          let v = Group_key.id_at layout key ~axis in
+          pos.(v) <- i;
+          Witness.Dict.value dict v)
+        groups
+    in
+    ( Array.to_list labels,
+      pos,
+      Array.map (fun (_, cell) -> Some (Aggregate.value func cell)) groups )
   in
-  let row_labels = labels_of row_id in
-  let col_labels = labels_of col_id in
-  let index labels = List.mapi (fun i l -> (l, i)) labels in
-  let row_index = index row_labels and col_index = index col_labels in
+  let row_labels, row_pos, row_totals = marginal row_id row_axis in
+  let col_labels, col_pos, col_totals = marginal col_id col_axis in
+  let label_at pos key ~axis =
+    match pos.(Group_key.id_at layout key ~axis) with
+    | -1 -> invalid_arg "Pivot: body value missing from its marginal"
+    | i -> i
+  in
   let body =
     Array.make_matrix (List.length row_labels) (List.length col_labels) None
   in
-  (* Body keys are ordered by axis position. *)
-  let keyed_first_row = row_axis < col_axis in
-  List.iter
-    (fun (key, cell) ->
-      match Group_key.decode key with
-      | [ a; b ] ->
-          let rv, cv = if keyed_first_row then (a, b) else (b, a) in
-          let r = List.assoc rv row_index and c = List.assoc cv col_index in
-          body.(r).(c) <- Some (Aggregate.value func cell)
-      | _ -> invalid_arg "Pivot: body key arity")
-    (Cube_result.cuboid_cells result body_id);
-  let marginal id labels =
-    let values = Array.make (List.length labels) None in
-    List.iter
-      (fun (key, cell) ->
-        match Group_key.decode key with
-        | [ v ] ->
-            values.(List.assoc v (index labels)) <-
-              Some (Aggregate.value func cell)
-        | _ -> ())
-      (Cube_result.cuboid_cells result id);
-    values
-  in
+  Cube_result.iter_cuboid result body_id (fun key cell ->
+      let r = label_at row_pos key ~axis:row_axis
+      and c = label_at col_pos key ~axis:col_axis in
+      body.(r).(c) <- Some (Aggregate.value func cell));
   let grand_total =
     Option.map (Aggregate.value func)
-      (Cube_result.find result ~cuboid:all_id ~key:(Group_key.encode []))
+      (Cube_result.find result ~cuboid:all_id ~key:[])
   in
   Ok
     {
       row_labels;
       col_labels;
       body;
-      row_totals = marginal row_id row_labels;
-      col_totals = marginal col_id col_labels;
+      row_totals;
+      col_totals;
       grand_total;
     }
 

@@ -1591,9 +1591,10 @@ module Client = struct
   (* One connection per attempt: the failures worth retrying (connection
      refused while the daemon restarts, Closed from a dropped connection,
      a typed retryable error like "rejected" or "shutting_down") all
-     leave the old connection useless. An answer over the frame cap is
-     not among them: the same request yields the same answer, so a retry
-     would only compute it again. Backoff doubles per attempt with jitter
+     leave the old connection useless. An answer over the frame cap and
+     a complete frame that does not decode are not among them: the same
+     request yields the same answer, so a retry would only compute it
+     again. Backoff doubles per attempt with jitter
      in [0.5, 1.5) so a thundering herd of retrying clients spreads
      out. *)
   let request_with_retry ?(retries = 3) ?(backoff = 0.05) ?(seed = 0)
@@ -1612,7 +1613,7 @@ module Client = struct
       let retryable =
         match result with
         | Ok (Protocol.Failed { code; _ }) -> Protocol.retryable_error code
-        | Ok _ | Error (`Frame (Protocol.Too_large _)) -> false
+        | Ok _ | Error (`Frame (Protocol.Too_large _) | `Decode _) -> false
         | Error _ -> true
       in
       if retryable && n < retries then begin

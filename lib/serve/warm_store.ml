@@ -7,9 +7,9 @@
      'W' magic                       x3-warm/1
      'D' doc record                  query text, document path, MD5 of
                                      the document bytes at save time
-     'M' + 'G'* view records        (per view, verbatim from
+     'M' + 'K'* view records        (per view, verbatim from
                                      Materialized.to_records; the 'M'
-                                     header carries the 'G' count)
+                                     header carries the group count)
      ... more 'D' groups, in cache LRU order (oldest first)
 
    A view binds to the 'D' record before it.  The digest is the
@@ -93,7 +93,9 @@ let encode docs =
        docs
 
 (* Walk the stream statefully: a 'D' opens a document, an 'M' header
-   announces how many 'G' records belong to the view that follows. *)
+   announces how many group records belong to the view that follows.
+   Older 'G' group records are taken too, so that Materialized.of_records
+   refuses them as a typed view failure rather than the whole file. *)
 let decode records =
   match records with
   | [] -> Error "warm snapshot: empty"
@@ -118,7 +120,8 @@ let decode records =
                   let rec take n taken = function
                     | rest when n = 0 -> (List.rev taken, rest)
                     | g :: rest
-                      when String.length g > 0 && g.[0] = 'G' ->
+                      when String.length g > 0 && (g.[0] = 'K' || g.[0] = 'G')
+                      ->
                         take (n - 1) (g :: taken) rest
                     | _ -> failwith "warm snapshot: truncated view"
                   in

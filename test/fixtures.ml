@@ -88,3 +88,28 @@ let small_pool () =
 let query1_table () =
   Eval.build_table (small_pool ()) (figure1_store ()) ~fact_path
     ~axes:(query1_axes ())
+
+(* Group keys as older releases wrote them: [u16 little-endian length |
+   bytes] per value. An oracle for output order that shares no code with
+   the engine, and the key of older view snapshot records. *)
+let u16_key values =
+  String.concat ""
+    (List.map
+       (fun v ->
+         let n = String.length v in
+         Printf.sprintf "%c%c%s" (Char.chr (n land 0xFF)) (Char.chr (n lsr 8)) v)
+       values)
+
+(* A view snapshot in the older record format: the 'M' header (cuboid id,
+   group count), then per group a 'G' record holding the u32-length
+   [u16_key] of its values and its u32 fact ids. *)
+let u16_view_records ~cuboid groups =
+  let u32 v = String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xFF)) in
+  ("M" ^ u32 cuboid ^ u32 (List.length groups))
+  :: List.map
+       (fun (values, facts) ->
+         let key = u16_key values in
+         "G" ^ u32 (String.length key) ^ key
+         ^ u32 (List.length facts)
+         ^ String.concat "" (List.map u32 facts))
+       groups

@@ -43,26 +43,47 @@ let prop_merge_associative =
 
 (* --- group keys ---------------------------------------------------------- *)
 
+(* Coded keys name values only through the axis dictionaries: a value
+   list goes in through [of_parts] and comes back out through
+   [to_parts]. *)
+let dicts_of_axes axis_values =
+  Array.map
+    (fun values ->
+      let d = Witness.Dict.create () in
+      List.iter (fun v -> ignore (Witness.Dict.intern d v)) values;
+      d)
+    axis_values
+
+let key_roundtrip parts =
+  let dicts = dicts_of_axes (Array.of_list (List.map (fun p -> [ p ]) parts)) in
+  let layout = Group_key.layout_of_sizes (Array.map Witness.Dict.size dicts) in
+  let cuboid = Array.map (fun _ -> X3_lattice.State.Present 0) dicts in
+  match Group_key.of_parts layout ~dicts cuboid parts with
+  | None -> None
+  | Some key -> Some (Group_key.to_parts layout ~dicts cuboid key)
+
 let test_key_roundtrip () =
   let parts = [ "John"; ""; "20,03"; "x\x00y" ] in
-  Alcotest.(check (list string)) "roundtrip" parts
-    (Group_key.decode (Group_key.encode parts))
+  Alcotest.(check (option (list string))) "roundtrip" (Some parts)
+    (key_roundtrip parts)
 
 let test_key_injective () =
+  let dicts = dicts_of_axes [| [ "ab"; "a" ]; [ "c"; "bc" ] |] in
+  let layout = Group_key.layout_of_sizes (Array.map Witness.Dict.size dicts) in
+  let cuboid = [| X3_lattice.State.Present 0; X3_lattice.State.Present 0 |] in
+  let key parts = Option.get (Group_key.of_parts layout ~dicts cuboid parts) in
   Alcotest.(check bool) "no separator confusion" false
-    (String.equal
-       (Group_key.encode [ "ab"; "c" ])
-       (Group_key.encode [ "a"; "bc" ]))
+    (Group_key.equal (key [ "ab"; "c" ]) (key [ "a"; "bc" ]))
 
 let prop_key_roundtrip =
   QCheck2.Test.make ~name:"group key roundtrip" ~count:300
     QCheck2.Gen.(list (string_size ~gen:char (int_bound 40)))
-    (fun parts -> Group_key.decode (Group_key.encode parts) = parts)
+    (fun parts -> key_roundtrip parts = Some parts)
 
 (* --- sort records --------------------------------------------------------- *)
 
 let test_sort_record_roundtrip () =
-  let key = Group_key.encode [ "a"; "b" ] in
+  let key = "a\000b" in
   let k, f, m = Sort_record.decode (Sort_record.encode ~key ~fact:42 ~measure:2.5) in
   Alcotest.(check string) "key" key k;
   Alcotest.(check int) "fact" 42 f;
@@ -71,20 +92,16 @@ let test_sort_record_roundtrip () =
 let test_sort_record_groups_adjacent () =
   let records =
     [
-      Sort_record.encode ~key:(Group_key.encode [ "b" ]) ~fact:1 ~measure:1.;
-      Sort_record.encode ~key:(Group_key.encode [ "a" ]) ~fact:2 ~measure:1.;
-      Sort_record.encode ~key:(Group_key.encode [ "b" ]) ~fact:0 ~measure:1.;
-      Sort_record.encode ~key:(Group_key.encode [ "a" ]) ~fact:9 ~measure:1.;
+      Sort_record.encode ~key:"b" ~fact:1 ~measure:1.;
+      Sort_record.encode ~key:"a" ~fact:2 ~measure:1.;
+      Sort_record.encode ~key:"b" ~fact:0 ~measure:1.;
+      Sort_record.encode ~key:"a" ~fact:9 ~measure:1.;
     ]
   in
   let sorted = List.sort Sort_record.compare records in
   let keys = List.map (fun r -> let k, _, _ = Sort_record.decode r in k) sorted in
   Alcotest.(check (list string)) "equal keys adjacent"
-    [
-      Group_key.encode [ "a" ]; Group_key.encode [ "a" ];
-      Group_key.encode [ "b" ]; Group_key.encode [ "b" ];
-    ]
-    keys;
+    [ "a"; "a"; "b"; "b" ] keys;
   let facts = List.map (fun r -> let _, f, _ = Sort_record.decode r in f) sorted in
   Alcotest.(check (list int)) "facts sorted within key" [ 2; 9; 0; 1 ] facts
 
@@ -98,7 +115,7 @@ let lattice_of p = Engine.lattice p
 
 let count result ~cuboid ~key_parts =
   match
-    Cube_result.find result ~cuboid ~key:(Group_key.encode key_parts)
+    Cube_result.find result ~cuboid ~key:key_parts
   with
   | Some cell -> int_of_float (Aggregate.value Aggregate.Count cell)
   | None -> 0
@@ -181,9 +198,7 @@ let test_correct_algorithms_agree () =
       | Some (cuboid, key, what) ->
           Alcotest.failf "%s differs at cuboid %d %s: %s"
             (Engine.algorithm_to_string algorithm)
-            cuboid
-            (Format.asprintf "%a" Group_key.pp key)
-            what)
+            cuboid key what)
     correct_algorithms
 
 let test_optimised_algorithms_wrong_on_figure1 () =
@@ -308,7 +323,7 @@ let test_sum_measure () =
   let by_a = X3_lattice.Lattice.rigid_id l in
   let sum key_parts =
     match
-      Cube_result.find result ~cuboid:by_a ~key:(Group_key.encode key_parts)
+      Cube_result.find result ~cuboid:by_a ~key:key_parts
     with
     | Some cell -> Aggregate.value Aggregate.Sum cell
     | None -> nan
@@ -316,7 +331,7 @@ let test_sum_measure () =
   Alcotest.(check (float 1e-9)) "sum x" 15. (sum [ "x" ]);
   Alcotest.(check (float 1e-9)) "sum y" 2.5 (sum [ "y" ]);
   let top = X3_lattice.Lattice.most_relaxed_id l in
-  match Cube_result.find result ~cuboid:top ~key:(Group_key.encode []) with
+  match Cube_result.find result ~cuboid:top ~key:[] with
   | Some cell ->
       Alcotest.(check (float 1e-9)) "sum all" 17.5
         (Aggregate.value Aggregate.Sum cell)
@@ -458,7 +473,7 @@ let test_aggregate_expected_values () =
   let rigid = X3_lattice.Lattice.rigid_id (Engine.lattice p) in
   let value func key =
     match
-      Cube_result.find result ~cuboid:rigid ~key:(Group_key.encode [ key ])
+      Cube_result.find result ~cuboid:rigid ~key:[ key ]
     with
     | Some cell -> Aggregate.value func cell
     | None -> nan
@@ -527,14 +542,17 @@ let test_counter_budget_one () =
 (* --- group key projection ---------------------------------------------------- *)
 
 let test_key_projection () =
+  let dicts = dicts_of_axes [| [ "z"; "a" ]; [ "b" ]; [ "y"; "x"; "c" ] |] in
+  let layout = Group_key.layout_of_sizes (Array.map Witness.Dict.size dicts) in
   let from_ = [| present 0; present 1; present 0 |] in
   let to_all_removed = [| removed; removed; removed |] in
   let to_middle = [| removed; present 1; removed |] in
-  let key = Group_key.encode [ "a"; "b"; "c" ] in
-  Alcotest.(check string) "project to ALL" (Group_key.encode [])
-    (Group_key.project_strings ~from_ ~to_:to_all_removed key);
-  Alcotest.(check string) "project to middle" (Group_key.encode [ "b" ])
-    (Group_key.project_strings ~from_ ~to_:to_middle key)
+  let key = Option.get (Group_key.of_parts layout ~dicts from_ [ "a"; "b"; "c" ]) in
+  let project to_ =
+    Group_key.to_parts layout ~dicts to_ (Group_key.project layout ~to_ key)
+  in
+  Alcotest.(check (list string)) "project to ALL" [] (project to_all_removed);
+  Alcotest.(check (list string)) "project to middle" [ "b" ] (project to_middle)
 
 (* --- packed integer keys ------------------------------------------------- *)
 
@@ -611,19 +629,14 @@ let prop_packed_key_project =
         (Group_key.project layout ~to_:coarser key)
         (Group_key.of_axis_ids layout coarser ids))
 
-let test_long_value_rejected_not_corrupted () =
-  (* The legacy row->key path wrote u16 component lengths without the
-     bounds check [encode] has, silently truncating lengths ≥ 64 KiB into
-     corrupt keys. The string codec now always raises; long values flow
-     through the dictionary layer, which has no such ceiling. *)
-  let big = String.make 0x10000 'b' in
-  (try
-     ignore (Group_key.encode [ big ]);
-     Alcotest.fail "encode must reject 64 KiB components"
-   with Invalid_argument _ -> ());
+(* One cube over a single LND axis [$a] on [<db><r><a>v</a></r>...</db>],
+   one fact per listed value. *)
+let one_axis_cube values =
   let doc =
     parse_ok
-      (Printf.sprintf "<db><r><a>%s</a></r><r><a>%s</a></r></db>" big big)
+      ("<db>"
+      ^ String.concat "" (List.map (Printf.sprintf "<r><a>%s</a></r>") values)
+      ^ "</db>")
   in
   let store = X3_xdb.Store.of_document doc in
   let axes =
@@ -634,8 +647,27 @@ let test_long_value_rejected_not_corrupted () =
   in
   let spec = Engine.count_spec ~fact_path:[ step d "r" ] ~axes in
   let p = Engine.prepare ~pool:(small_pool ()) ~store spec in
-  let result, _ = Engine.run p Engine.Naive in
-  let rigid = X3_lattice.Lattice.rigid_id (Engine.lattice p) in
+  fst (Engine.run p Engine.Naive)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let test_long_value_rejected_not_corrupted () =
+  (* The external-sort record still stores its key length in a u16 field:
+     a 64 KiB key must raise there rather than wrap into a corrupt record.
+     Long values themselves flow through the dictionary layer, which has
+     no such ceiling. *)
+  let big = String.make 0x10000 'b' in
+  (try
+     ignore (Sort_record.encode ~key:big ~fact:0 ~measure:1.);
+     Alcotest.fail "Sort_record.encode must reject a 64 KiB key"
+   with Invalid_argument _ -> ());
+  let result = one_axis_cube [ big; big ] in
+  let rigid = X3_lattice.Lattice.rigid_id (Cube_result.lattice result) in
   Alcotest.(check int) "one huge-valued group" 1
     (Cube_result.cuboid_size result rigid);
   let total = ref 0. in
@@ -643,12 +675,83 @@ let test_long_value_rejected_not_corrupted () =
       total := !total +. Aggregate.value Aggregate.Count cell);
   Alcotest.(check (float 1e-9)) "both facts counted" 2. !total
 
+let test_long_value_exports () =
+  (* A 64 KiB value has no length ceiling anywhere between the dictionary
+     and the exported bytes. *)
+  let big = String.make 0x10000 'b' in
+  let result = one_axis_cube [ big; big ] in
+  let rigid = X3_lattice.Lattice.rigid_id (Cube_result.lattice result) in
+  Alcotest.(check int) "one huge-valued group" 1
+    (Cube_result.cuboid_size result rigid);
+  Alcotest.(check (list (pair (list string) (float 1e-9))))
+    "both facts counted" [ ([ big ], 2.) ]
+    (List.map
+       (fun (key, cell) -> (key, Aggregate.value Aggregate.Count cell))
+       (Cube_result.cuboid_cells result rigid));
+  Alcotest.(check bool) "csv holds the value" true
+    (contains ~sub:("0,0," ^ big ^ ",2\n")
+       (Export.csv_string ~func:Aggregate.Count result));
+  Alcotest.(check bool) "json holds the value" true
+    (contains ~sub:("[\"" ^ big ^ "\"]")
+       (Export.json_string ~func:Aggregate.Count result))
+
+(* Groups are listed in the byte order of u16 little-endian
+   length-prefixed values: low length byte first. The expected order —
+   lengths 256, 1, 257, 2, 300, 255 — is the output of the release that
+   still sorted by that encoding, copied here, not recomputed. *)
+let test_export_order_golden () =
+  let value (ch, len, _) = String.make len ch in
+  let by_document_order =
+    [ ('f', 300, 1); ('a', 1, 2); ('b', 256, 3); ('c', 2, 1); ('d', 257, 2);
+      ('e', 255, 3) ]
+  in
+  let expected_order =
+    [ ('b', 256, 3); ('a', 1, 2); ('d', 257, 2); ('c', 2, 1); ('f', 300, 1);
+      ('e', 255, 3) ]
+  in
+  let result =
+    one_axis_cube
+      (List.concat_map
+         (fun ((_, _, count) as v) -> List.init count (fun _ -> value v))
+         by_document_order)
+  in
+  let func = Aggregate.Count in
+  Alcotest.(check string) "csv"
+    ("cuboid,degree,$a,COUNT\n"
+    ^ String.concat ""
+        (List.map
+           (fun ((_, _, n) as v) -> Printf.sprintf "0,0,%s,%d\n" (value v) n)
+           expected_order)
+    ^ "1,1,(ALL),12\n")
+    (Export.csv_string ~func result);
+  Alcotest.(check string) "json"
+    ("[\n  {\"cuboid\": 0, \"states\": [\"$a:rigid\"], \"groups\": ["
+    ^ String.concat ", "
+        (List.map
+           (fun ((_, _, n) as v) ->
+             Printf.sprintf "{\"key\": [\"%s\"], \"value\": %d}" (value v) n)
+           expected_order)
+    ^ "]},\n  {\"cuboid\": 1, \"states\": [\"$a:LND\"], \"groups\": \
+       [{\"key\": [], \"value\": 12}]}\n]\n")
+    (Export.json_string ~func result);
+  Alcotest.(check string) "pp"
+    ("cuboid 0 ($a:rigid): 6 group(s)\n"
+    ^ String.concat ""
+        (List.map
+           (fun ((_, _, n) as v) ->
+             Printf.sprintf "  (%s) COUNT=%d\n" (value v) n)
+           expected_order)
+    ^ "cuboid 1 ($a:LND): 1 group(s)\n  () COUNT=12\n")
+    (Format.asprintf "%a" (Cube_result.pp ?max_groups:None ~func) result)
+
 (* --- coded path vs legacy string grouping --------------------------------- *)
 
 (* Reference cube computed the way the engine grouped before dictionary
-   encoding: string keys assembled from decoded cell values, plain
-   Hashtbl. Every algorithm's decode-on-export output must be
-   bit-identical. *)
+   encoding: keys assembled from decoded cell values, plain Hashtbl, and
+   groups listed in the byte order of their u16 little-endian
+   length-prefixed encoding ([Fixtures.u16_key], independent of the
+   engine's per-axis ranks). Every algorithm's output must be
+   identical. *)
 let legacy_reference_cells p =
   let table = Engine.table p in
   let lattice = Engine.lattice p in
@@ -671,14 +774,14 @@ let legacy_reference_cells p =
   Array.map
     (fun cid ->
       let cuboid = X3_lattice.Lattice.cuboid lattice cid in
-      let groups : (string, float) Hashtbl.t = Hashtbl.create 64 in
+      let groups : (string list, float) Hashtbl.t = Hashtbl.create 64 in
       Witness.iter_fact_blocks
         (fun block ->
           let seen = Hashtbl.create 4 in
           List.iter
             (fun row ->
               if X3_core.Context.row_represents cuboid row then begin
-                let key = Group_key.encode (key_parts cuboid row) in
+                let key = key_parts cuboid row in
                 if not (Hashtbl.mem seen key) then begin
                   Hashtbl.add seen key ();
                   Hashtbl.replace groups key
@@ -689,7 +792,8 @@ let legacy_reference_cells p =
             block)
         table;
       Hashtbl.fold (fun key v acc -> (key, v) :: acc) groups []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b))
+      |> List.sort (fun (a, _) (b, _) ->
+             String.compare (u16_key a) (u16_key b)))
     (X3_lattice.Lattice.by_degree lattice)
 
 let test_coded_path_matches_legacy_grouping () =
@@ -707,7 +811,7 @@ let test_coded_path_matches_legacy_grouping () =
                 (key, Aggregate.value Aggregate.Count cell))
               (Cube_result.cuboid_cells result cid)
           in
-          Alcotest.(check (list (pair string (float 1e-9))))
+          Alcotest.(check (list (pair (list string) (float 1e-9))))
             (Printf.sprintf "%s cuboid %d"
                (Engine.algorithm_to_string algorithm)
                cid)
@@ -767,7 +871,7 @@ let test_materialized_fact_items () =
   Alcotest.(check int) "one fact in (p1, 2003)" 1
     (List.length
        (Materialized.fact_items intermediate
-          ~key:(Group_key.encode [ "p1"; "2003" ])))
+          ~key:[ "p1"; "2003" ]))
 
 let test_materialized_rollup_dedups () =
   (* Roll (n:{PC-AD}, p:removed, y:rigid) up to group-by year: fact sets
@@ -790,7 +894,7 @@ let test_materialized_rollup_dedups () =
           match Cube_result.find reference ~cuboid:coarser ~key with
           | Some expected ->
               Alcotest.(check bool)
-                (Format.asprintf "group %a" Group_key.pp key)
+                ("group " ^ String.concat ", " key)
                 true
                 (Aggregate.equal_value Aggregate.Count expected cell)
           | None -> Alcotest.fail "extra group after rollup")
@@ -815,7 +919,7 @@ let test_materialized_rollup_refuses_uncovered () =
   (* The unchecked version demonstrates the failure: 2003 loses Bob. *)
   let rolled = Materialized.rollup_unchecked ctx intermediate ~coarser in
   let count_2003 cells =
-    List.assoc_opt (Group_key.encode [ "2003" ]) cells
+    List.assoc_opt [ "2003" ] cells
     |> Option.map (Aggregate.value Aggregate.Count)
   in
   Alcotest.(check (option (float 1e-9))) "2003 undercounted" (Some 1.)
@@ -851,27 +955,9 @@ let test_export_csv () =
        lines)
 
 let test_export_csv_quoting () =
-  let doc =
-    parse_ok {|<db><r><a>x,y "z"</a></r></db>|}
-  in
-  let store = X3_xdb.Store.of_document doc in
-  let axes =
-    [|
-      X3_pattern.Axis.make_exn ~name:"$a" ~steps:[ step c "a" ]
-        ~allowed:[ Relax.Lnd ];
-    |]
-  in
-  let spec = Engine.count_spec ~fact_path:[ step d "r" ] ~axes in
-  let p = Engine.prepare ~pool:(small_pool ()) ~store spec in
-  let result, _ = Engine.run p Engine.Naive in
+  let result = one_axis_cube [ {|x,y "z"|} ] in
   let csv = Export.csv_string ~func:Aggregate.Count result in
-  Alcotest.(check bool) "field quoted" true
-    (let contains s sub =
-       let n = String.length sub and h = String.length s in
-       let rec go i = i + n <= h && (String.sub s i n = sub || go (i + 1)) in
-       go 0
-     in
-     contains csv {|"x,y ""z"""|})
+  Alcotest.(check bool) "field quoted" true (contains ~sub:{|"x,y ""z"""|} csv)
 
 let test_export_json_shape () =
   let p = prepared () in
@@ -1843,6 +1929,10 @@ let () =
           Alcotest.test_case "key projection" `Quick test_key_projection;
           Alcotest.test_case "long values rejected, not corrupted" `Quick
             test_long_value_rejected_not_corrupted;
+          Alcotest.test_case "a 64 KiB axis value exports" `Quick
+            test_long_value_exports;
+          Alcotest.test_case "export order is the u16-encoding order" `Quick
+            test_export_order_golden;
           Alcotest.test_case "coded path = legacy string grouping" `Quick
             test_coded_path_matches_legacy_grouping;
           Alcotest.test_case "file-backed external sorts" `Quick

@@ -475,13 +475,35 @@ let test_materialized_snapshot_roundtrip () =
       Alcotest.(check int) "cuboid" (Materialized.cuboid_id view)
         (Materialized.cuboid_id view');
       let keys v = List.map fst (Materialized.cells v) in
-      Alcotest.(check (list string)) "group keys" (keys view) (keys view');
+      Alcotest.(check (list (list string))) "group keys" (keys view) (keys view');
       List.iter
         (fun key ->
           Alcotest.(check (list int)) "fact items"
             (Materialized.fact_items view ~key)
             (Materialized.fact_items view' ~key))
         (keys view));
+  Disk.close disk
+
+(* A view snapshot in the older string-key record format is refused
+   with a typed error, never loaded under a different reading — even
+   when every value it names is in the table. *)
+let test_older_view_snapshot_refused () =
+  let ctx = make_ctx () in
+  let view = Materialized.materialize ctx ~cuboid:0 in
+  let groups =
+    List.map
+      (fun (key, _) -> (key, Materialized.fact_items view ~key))
+      (Materialized.cells view)
+  in
+  let records = Fixtures.u16_view_records ~cuboid:0 groups in
+  (match Materialized.of_records ctx records with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "older view records were read");
+  let disk, _, store = fresh_store () in
+  Snapshot_store.commit store records;
+  (match Materialized.load ctx store with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "older view snapshot was loaded");
   Disk.close disk
 
 (* Crash the materialized-view commit at every write boundary: recovery
@@ -917,6 +939,8 @@ let () =
             test_witness_snapshot_roundtrip;
           quick "materialized view snapshot roundtrip" `Quick
             test_materialized_snapshot_roundtrip;
+          quick "older view snapshot format is refused" `Quick
+            test_older_view_snapshot_refused;
           quick "cube+materialize workload: crash at every write" `Quick
             test_workload_crash_sweep;
           quick "torn column page: typed error + epoch fallback" `Quick

@@ -270,51 +270,9 @@ let test_dict_huge_value () =
   Alcotest.(check bool) "survives the page codec" true
     (Witness.Dict.value loaded.(0) 0 = big)
 
-(* --- join-based evaluation ----------------------------------------------- *)
-
-let test_join_eval_matches_nav_on_figure1 () =
-  let facts = Array.of_list (Eval.facts store fact_path) in
-  List.iter
-    (fun axis ->
-      let by_fact = Join_eval.axis_bindings_by_fact store axis ~facts in
-      Array.iter
-        (fun fact ->
-          let nav = Eval.axis_bindings store axis ~fact in
-          let join =
-            Option.value (Hashtbl.find_opt by_fact fact) ~default:[]
-          in
-          Alcotest.(check (list (pair int int)))
-            (Printf.sprintf "%s bindings of fact %d" axis.Axis.name fact)
-            nav join)
-        facts)
-    [ axis_n (); axis_p (); axis_y () ]
-
-let test_join_eval_table_equals_nav_table () =
-  let nav = query1_table () in
-  let join =
-    Join_eval.build_table (small_pool ()) (figure1_store ()) ~fact_path
-      ~axes:(query1_axes ())
-  in
-  Alcotest.(check int) "row count" (Witness.row_count nav)
-    (Witness.row_count join);
-  let rows t =
-    (* Decode through the dictionaries: the two tables may intern values
-       in different orders. *)
-    List.map
-      (fun row ->
-        ( row.Witness.fact,
-          Array.to_list
-            (Array.mapi
-               (fun ai c ->
-                 ( Witness.cell_value t ~axis_index:ai c,
-                   c.Witness.validity,
-                   c.Witness.first ))
-               row.Witness.cells) ))
-      (Witness.to_list t)
-  in
-  Alcotest.(check bool) "identical rows" true (rows nav = rows join)
-
-let gen_join_eval_doc =
+(* Facts whose [q] leaves sit at varied depths and under varied parents,
+   so every relaxation of [p/q] has something to find. *)
+let gen_nested_doc =
   let module Tree = X3_xml.Tree in
   let open QCheck2.Gen in
   let value = oneofl [ "1"; "2" ] in
@@ -337,33 +295,6 @@ let gen_join_eval_doc =
       | Tree.Element e -> Tree.document e
       | _ -> assert false)
     (list_size (int_range 1 8) fact)
-
-let prop_join_eval_equals_nav =
-  QCheck2.Test.make ~name:"join-based eval = navigational eval" ~count:100
-    gen_join_eval_doc (fun doc ->
-      let store = X3_xdb.Store.of_document doc in
-      let axes =
-        [|
-          Axis.make_exn ~name:"$q"
-            ~steps:[ step c "p"; step c "q" ]
-            ~allowed:[ Relax.Lnd; Relax.Sp; Relax.Pc_ad ];
-        |]
-      in
-      let fact_path = [ step d "r" ] in
-      let nav = Eval.build_table (small_pool ()) store ~fact_path ~axes in
-      let join = Join_eval.build_table (small_pool ()) store ~fact_path ~axes in
-      let rows t =
-        List.map
-          (fun row ->
-            ( row.Witness.fact,
-              Array.to_list
-                (Array.mapi
-                   (fun ai c ->
-                     (Witness.cell_value t ~axis_index:ai c, c.Witness.validity))
-                   row.Witness.cells) ))
-          (Witness.to_list t)
-      in
-      rows nav = rows join)
 
 (* --- columnar view ------------------------------------------------------- *)
 
@@ -406,7 +337,7 @@ let test_columnar_figure1 () =
 
 let prop_columnar_equals_rows =
   QCheck2.Test.make ~name:"columnar view = row view" ~count:100
-    gen_join_eval_doc (fun doc ->
+    gen_nested_doc (fun doc ->
       let store = X3_xdb.Store.of_document doc in
       let axes =
         [|
@@ -482,13 +413,6 @@ let () =
           Alcotest.test_case "columnar view on figure 1" `Quick
             test_columnar_figure1;
         ] );
-      ( "join eval",
-        [
-          Alcotest.test_case "matches navigational on figure 1" `Quick
-            test_join_eval_matches_nav_on_figure1;
-          Alcotest.test_case "tables identical" `Quick
-            test_join_eval_table_equals_nav_table;
-        ] );
       ( "mrfi",
         [
           Alcotest.test_case "query 1" `Quick test_mrfi_query1;
@@ -498,7 +422,6 @@ let () =
         qcheck
           [
             prop_codec_roundtrip;
-            prop_join_eval_equals_nav;
             prop_columnar_equals_rows;
           ] );
     ]

@@ -359,6 +359,47 @@ let test_oversized_answer_not_retried () =
     (stats_metric h "serve.requests.total" - before);
   await_drained h
 
+(* A complete frame that does not decode is deterministic: the same
+   request would get the same bytes again. A fake daemon answers every
+   request frame with a well-framed non-JSON payload and counts the
+   connections it accepts. *)
+let test_undecodable_answer_not_retried () =
+  let sock_path = Filename.temp_file "x3garbage" ".sock" in
+  Sys.remove sock_path;
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX sock_path);
+  Unix.listen listener 8;
+  let accepted = Atomic.make 0 and stop = Atomic.make false in
+  let serve () =
+    while not (Atomic.get stop) do
+      match Unix.select [ listener ] [] [] 0.05 with
+      | [], _, _ -> ()
+      | _ ->
+          let fd, _ = Unix.accept listener in
+          Atomic.incr accepted;
+          (match Protocol.read_frame ~deadline:(Unix.gettimeofday () +. 5.) fd with
+          | Ok _ -> ignore (Protocol.write_frame fd "this is not json")
+          | Error _ -> ());
+          Unix.close fd
+    done
+  in
+  let thread = Thread.create serve () in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join thread;
+      Unix.close listener;
+      try Sys.remove sock_path with Sys_error _ -> ())
+    (fun () ->
+      (match
+         Server.Client.request_with_retry ~retries:3 ~backoff:0.001
+           ~deadline:5.0 (Server.Unix_sock sock_path) Protocol.Ping
+       with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "a non-JSON answer decoded");
+      Alcotest.(check int) "one connection, no retries" 1
+        (Atomic.get accepted))
+
 (* --- the accept loop survives transient errors --------------------------- *)
 
 let test_accept_loop_survives_emfile () =
@@ -827,7 +868,8 @@ let test_changed_document_cold_starts () =
    cannot be restored: each failure must land in its own typed
    [serve.cache.restore_failures.<reason>] counter, cold-start that
    document, and leave the daemon serving correctly. *)
-let crafted_snapshot_cold_starts ~name ~reason ~ws_query ~tune2 =
+let crafted_snapshot_cold_starts ?(ws_views = []) ?(after = fun _ _ -> ())
+    ~name ~reason ~ws_query ~tune2 () =
   with_figure1 @@ fun doc_path ->
   let snap = Filename.temp_file "x3snap" ".bin" in
   Sys.remove snap;
@@ -842,7 +884,7 @@ let crafted_snapshot_cold_starts ~name ~reason ~ws_query ~tune2 =
                ws_doc_path = doc_path;
                ws_digest = Digest.file doc_path;
                ws_wal_lsn = 0;
-               ws_views = [];
+               ws_views;
              };
            ]
        with
@@ -855,11 +897,12 @@ let crafted_snapshot_cold_starts ~name ~reason ~ws_query ~tune2 =
           Alcotest.(check int)
             (name ^ ": typed reason counter")
             1
-            (stats_metric h2 ("serve.cache.restore_failures." ^ reason))))
+            (stats_metric h2 ("serve.cache.restore_failures." ^ reason));
+          after h2 doc_path))
 
 let test_recompile_failure_cold_starts () =
   crafted_snapshot_cold_starts ~name:"recompile" ~reason:"recompile_failed"
-    ~ws_query:"this is not an x3 query" ~tune2:Fun.id
+    ~ws_query:"this is not an x3 query" ~tune2:Fun.id ()
 
 let test_doc_load_failure_cold_starts () =
   (* The query and digest verify, but the restart's input cap refuses the
@@ -867,6 +910,35 @@ let test_doc_load_failure_cold_starts () =
   crafted_snapshot_cold_starts ~name:"doc load" ~reason:"doc_load_failed"
     ~ws_query:figure1_query
     ~tune2:(fun c -> { c with Server.max_input_bytes = Some 16 })
+    ()
+
+let test_older_view_format_cold_starts () =
+  (* A view saved in the older string-key record format, naming values
+     the document does hold: refused as a typed view failure, and the
+     cold-started document still answers exactly. *)
+  let groups =
+    [
+      ([ "Jane"; "p1"; "2003" ], [ 0 ]);
+      ([ "John"; "p1"; "2003" ], [ 0 ]);
+      ([ "John"; "p2"; "2004" ], [ 1 ]);
+      ([ "John"; "p2"; "2005" ], [ 1 ]);
+    ]
+  in
+  crafted_snapshot_cold_starts ~name:"older view format"
+    ~reason:"view_decode_failed" ~ws_query:figure1_query ~tune2:Fun.id
+    ~ws_views:[ Fixtures.u16_view_records ~cuboid:0 groups ]
+    ~after:(fun h doc_path ->
+      let expected = cold_export ~doc_path ~query:figure1_query in
+      with_client h (fun conn ->
+          match
+            Server.Client.request ~deadline:30.0 conn
+              (cube_req ~doc:doc_path figure1_query)
+          with
+          | Ok (Protocol.Cube_ok { payload; _ }) ->
+              Alcotest.(check string) "cold start still correct" expected
+                payload
+          | _ -> Alcotest.fail "request after the refused view failed"))
+    ()
 
 (* --- warm-store and cache units ------------------------------------------ *)
 
@@ -946,6 +1018,8 @@ let () =
             test_accept_loop_survives_emfile;
           Alcotest.test_case "oversized answer is not retried" `Quick
             test_oversized_answer_not_retried;
+          Alcotest.test_case "undecodable answer is not retried" `Quick
+            test_undecodable_answer_not_retried;
         ] );
       ( "slow-clients",
         [
@@ -981,5 +1055,7 @@ let () =
             `Quick test_recompile_failure_cold_starts;
           Alcotest.test_case "document load failure cold-starts with its reason"
             `Quick test_doc_load_failure_cold_starts;
+          Alcotest.test_case "older view snapshot format cold-starts"
+            `Quick test_older_view_format_cold_starts;
         ] );
     ]
