@@ -189,6 +189,11 @@ let run_cube query_path doc algorithm_name use_schema workers radix_bits
   in
   let dt = Unix.gettimeofday () -. t0 in
   let print_result result instr =
+    let print_export export =
+      let buf = Buffer.create 4096 in
+      export ~func:spec.Engine.func buf result;
+      Buffer.output_buffer stdout buf
+    in
     match format with
     | "table" ->
         Format.printf "%a@."
@@ -199,10 +204,8 @@ let run_cube query_path doc algorithm_name use_schema workers radix_bits
           (Lattice.size lattice)
           (X3_core.Cube_result.total_cells result)
           dt X3_core.Instrument.pp instr
-    | "csv" ->
-        print_string (X3_core.Export.csv_string ~func:spec.Engine.func result)
-    | "json" ->
-        print_string (X3_core.Export.json_string ~func:spec.Engine.func result)
+    | "csv" -> print_export X3_core.Export.to_csv
+    | "json" -> print_export X3_core.Export.to_json
     | other ->
         prerr_endline
           ("x3: unknown format " ^ other ^ " (expected table, csv or json)");

@@ -46,6 +46,38 @@ let note_strategy (instr : Instrument.t) p =
   else
     instr.Instrument.hash_groupings <- instr.Instrument.hash_groupings + 1
 
+(* Bump a hash-grouped cuboid's counters for the fact block [lo..hi],
+   each distinct key of the block once; returns how many counters it
+   created. One row cannot produce a key twice, so a one-row block skips
+   the dedup set. *)
+let count_block ~(instr : Instrument.t) ~scratch ~seen counters cuboid cols
+    ~lo ~hi m =
+  let before = Group_key.Tbl.length counters in
+  if lo = hi then begin
+    if Context.cols_represents cuboid cols ~row:lo then begin
+      Group_key.load_cols scratch cuboid cols ~row:lo;
+      instr.Instrument.keys_built <- instr.Instrument.keys_built + 1;
+      Aggregate.add
+        (Group_key.Tbl.find_or_add counters scratch ~default:Aggregate.create)
+        m
+    end
+  end
+  else begin
+    Group_key.Seen.reset seen;
+    for r = lo to hi do
+      if Context.cols_represents cuboid cols ~row:r then begin
+        Group_key.load_cols scratch cuboid cols ~row:r;
+        instr.Instrument.keys_built <- instr.Instrument.keys_built + 1;
+        if Group_key.Seen.add seen scratch then
+          Aggregate.add
+            (Group_key.Tbl.find_or_add counters scratch
+               ~default:Aggregate.create)
+            m
+      end
+    done
+  end;
+  Group_key.Tbl.length counters - before
+
 let compute_sequential (ctx : Context.t) =
   let result = Cube_result.create ~table:ctx.table ctx.lattice in
   let instr = ctx.instr in
@@ -108,7 +140,10 @@ let compute_sequential (ctx : Context.t) =
              Hashtbl.replace active cid
                (Racc (p, Radix.cursor p cols, Radix.acc_create p))
            end
-           else Hashtbl.replace active cid (Htbl (Group_key.Tbl.create 1024)))
+           else
+             (* The result's own initial capacity: a handed-off table
+                grows exactly as a copy into the result would. *)
+             Hashtbl.replace active cid (Htbl (Group_key.Tbl.create 64)))
          cids;
        let live = ref 0 in
        let evicted = ref [] in
@@ -177,22 +212,10 @@ let compute_sequential (ctx : Context.t) =
                    end
                  done
              | Some (Htbl counters) ->
-                 let cuboid = cuboid_of cid in
-                 Group_key.Seen.reset seen;
-                 for r = lo to hi do
-                   if Context.cols_represents cuboid cols ~row:r then begin
-                     Group_key.load_cols scratch cuboid cols ~row:r;
-                     instr.Instrument.keys_built <-
-                       instr.Instrument.keys_built + 1;
-                     if Group_key.Seen.add seen scratch then
-                       Aggregate.add
-                         (Group_key.Tbl.find_or_add counters scratch
-                            ~default:(fun () ->
-                              incr live;
-                              Aggregate.create ()))
-                         m
-                   end
-                 done)
+                 live :=
+                   !live
+                   + count_block ~instr ~scratch ~seen counters (cuboid_of cid)
+                       cols ~lo ~hi m)
            cids;
          if !live > instr.Instrument.peak_counters then
            instr.Instrument.peak_counters <- !live;
@@ -200,7 +223,8 @@ let compute_sequential (ctx : Context.t) =
        done;
        (* Completed cuboids are final; evicted ones go to the next pass.
           Completed counters become result cells, keeping their
-          reservation; a flushed radix cuboid's slot array is done. *)
+          reservation: a hash cuboid hands its table to the result as it
+          stands, and a flushed radix cuboid's slot array is done. *)
        Array.iter
          (fun cid ->
            match Hashtbl.find_opt active cid with
@@ -214,11 +238,7 @@ let compute_sequential (ctx : Context.t) =
                      ("pass", Trace.Int instr.Instrument.passes);
                    ];
                (match g with
-               | Htbl counters ->
-                   Group_key.Tbl.iter
-                     (fun key cell ->
-                       Cube_result.set_cell result ~cuboid:cid ~key cell)
-                     counters
+               | Htbl counters -> Cube_result.adopt result ~cuboid:cid counters
                | Racc (p, _, acc) ->
                    Radix.acc_flush acc ~f:(fun compact cell ->
                        Cube_result.set_cell result ~cuboid:cid
@@ -364,24 +384,11 @@ let compute_parallel (ctx : Context.t) =
                             end
                           done
                       | Some (Htbl counters) ->
-                          let cuboid = cuboid_of cid in
-                          Group_key.Seen.reset w.seen;
-                          for r = lo to hi do
-                            if Context.cols_represents cuboid cols ~row:r
-                            then begin
-                              Group_key.load_cols w.scratch cuboid cols
-                                ~row:r;
-                              w.instr.Instrument.keys_built <-
-                                w.instr.Instrument.keys_built + 1;
-                              if Group_key.Seen.add w.seen w.scratch then
-                                Aggregate.add
-                                  (Group_key.Tbl.find_or_add counters
-                                     w.scratch ~default:(fun () ->
-                                       w.live <- w.live + 1;
-                                       Aggregate.create ()))
-                                  m
-                            end
-                          done)
+                          w.live <-
+                            w.live
+                            + count_block ~instr:w.instr ~scratch:w.scratch
+                                ~seen:w.seen counters (cuboid_of cid) cols ~lo
+                                ~hi m)
                     cids;
                   if w.live > w.peak then w.peak <- w.live;
                   (* Worker-local budget enforcement: evict the locally

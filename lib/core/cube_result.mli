@@ -29,6 +29,11 @@ val find_coded : t -> cuboid:int -> key:Group_key.t -> Aggregate.cell option
 val set_cell : t -> cuboid:int -> key:Group_key.t -> Aggregate.cell -> unit
 (** Install a cell wholesale (used by roll-up computation). *)
 
+val adopt : t -> cuboid:int -> Aggregate.cell Group_key.Tbl.t -> unit
+(** Make a finished counter table the cuboid's cells, without copying: the
+    result owns the table from then on, and the caller must not touch it
+    again. Raises [Invalid_argument] if the cuboid already holds cells. *)
+
 val iter_cuboid : t -> int -> (Group_key.t -> Aggregate.cell -> unit) -> unit
 
 val cuboid_size : t -> int -> int
@@ -43,11 +48,15 @@ val find : t -> cuboid:int -> key:string list -> Aggregate.cell option
     exist. Raises [Invalid_argument] when [key] does not hold one value per
     present axis. *)
 
-val ordered : t -> int -> (Group_key.t * Aggregate.cell) array
-(** [ordered t cuboid]: the cuboid's groups in output order — component by
-    component, by {!Group_key.compare_values}. Partially applied,
-    [ordered t] ranks each axis dictionary at most once across all the
-    cuboids it is then applied to. *)
+val ordered :
+  t -> int -> (int -> Group_key.t -> Aggregate.cell -> unit) -> unit
+(** [ordered t cuboid f] calls [f i key cell] on the cuboid's groups in
+    output order, [i] counting from 0 — component by component, by
+    {!Group_key.compare_values}. The order comes from an integer LSD radix
+    sort over per-axis {!Group_key.rank}s. Partially applied, [ordered t]
+    ranks each axis dictionary at most once across all the cuboids it is
+    then applied to; [f] must not call back into the same [ordered t] nor
+    add cells to [t]. *)
 
 val cuboid_cells : t -> int -> (string list * Aggregate.cell) list
 (** {!ordered}, with each key as its values. *)

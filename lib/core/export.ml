@@ -20,20 +20,37 @@ let csv_quote field =
     Buffer.contents buf
   end
 
-(* One column per axis: the grouping value straight from the axis
-   dictionary when the axis is present, (ALL) when it is removed. *)
-let axis_column result cuboid key ai =
-  match cuboid.(ai) with
-  | State.Removed -> "(ALL)"
-  | State.Present _ ->
-      Witness.Dict.value
-        (Witness.dict (Cube_result.table result) ai)
-        (Group_key.id_at (Cube_result.layout result) key ~axis:ai)
+(* Every dictionary value rendered once per export, not once per cell:
+   [columns.(ai).(id)]. *)
+let render_columns result render =
+  Array.map
+    (fun dict ->
+      Array.init (Witness.Dict.size dict) (fun id ->
+          render (Witness.Dict.value dict id)))
+    (Witness.dicts (Cube_result.table result))
 
-let float_repr v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%g" v
+(* The rendered grouping value of a present axis. *)
+let column result columns key ai =
+  columns.(ai).(Group_key.id_at (Cube_result.layout result) key ~axis:ai)
+
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+(* Integral values below 1e15 are written digit by digit, which is what
+   ["%.0f"] prints for them; zero (["0"] or ["-0"]), fractions, larger
+   magnitudes and NaN go through [Printf]. *)
+let add_number buf v =
+  if Float.is_integer v && Float.abs v < 1e15 then begin
+    let n = Float.to_int v in
+    if n > 0 then add_digits buf n
+    else if n < 0 then begin
+      Buffer.add_char buf '-';
+      add_digits buf (-n)
+    end
+    else Buffer.add_string buf (Printf.sprintf "%.0f" v)
+  end
+  else Buffer.add_string buf (Printf.sprintf "%g" v)
 
 let to_csv ~func buf result =
   let lattice = Cube_result.lattice result in
@@ -48,21 +65,23 @@ let to_csv ~func buf result =
   Buffer.add_string buf (Aggregate.func_to_string func);
   Buffer.add_char buf '\n';
   let ordered = Cube_result.ordered result in
+  let columns = render_columns result csv_quote in
   Array.iter
     (fun id ->
       let cuboid = Lattice.cuboid lattice id in
       let prefix = Printf.sprintf "%d,%d" id (Lattice.degree lattice id) in
-      Array.iter
-        (fun (key, cell) ->
+      ordered id (fun _ key cell ->
           Buffer.add_string buf prefix;
           for ai = 0 to Array.length cuboid - 1 do
             Buffer.add_char buf ',';
-            Buffer.add_string buf (csv_quote (axis_column result cuboid key ai))
+            Buffer.add_string buf
+              (match cuboid.(ai) with
+              | State.Removed -> "(ALL)"
+              | State.Present _ -> column result columns key ai)
           done;
           Buffer.add_char buf ',';
-          Buffer.add_string buf (float_repr (Aggregate.value func cell));
-          Buffer.add_char buf '\n')
-        (ordered id))
+          add_number buf (Aggregate.value func cell);
+          Buffer.add_char buf '\n'))
     (Lattice.by_degree lattice)
 
 let csv_string ~func result =
@@ -84,6 +103,13 @@ let json_escape buf s =
       | c -> Buffer.add_char buf c)
     s
 
+let json_quote s =
+  let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
+  json_escape buf s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
 let to_json ~func buf result =
   let lattice = Cube_result.lattice result in
   let axes = Lattice.axes lattice in
@@ -94,6 +120,7 @@ let to_json ~func buf result =
   in
   Buffer.add_string buf "[";
   let ordered = Cube_result.ordered result in
+  let columns = render_columns result json_quote in
   let first_cuboid = ref true in
   Array.iter
     (fun id ->
@@ -111,11 +138,8 @@ let to_json ~func buf result =
                (State.to_string axes.(i) state)))
         cuboid;
       Buffer.add_string buf "], \"groups\": [";
-      let first_group = ref true in
-      Array.iter
-        (fun (key, cell) ->
-          if not !first_group then Buffer.add_string buf ", ";
-          first_group := false;
+      ordered id (fun i key cell ->
+          if i > 0 then Buffer.add_string buf ", ";
           Buffer.add_string buf "{\"key\": [";
           let first_part = ref true in
           Array.iteri
@@ -125,14 +149,13 @@ let to_json ~func buf result =
               | State.Present _ ->
                   if not !first_part then Buffer.add_string buf ", ";
                   first_part := false;
-                  add_string (axis_column result cuboid key ai))
+                  Buffer.add_string buf (column result columns key ai))
             cuboid;
           Buffer.add_string buf "], \"value\": ";
           let v = Aggregate.value func cell in
-          Buffer.add_string buf
-            (if Float.is_nan v then "null" else float_repr v);
-          Buffer.add_string buf "}")
-        (ordered id);
+          if Float.is_nan v then Buffer.add_string buf "null"
+          else add_number buf v;
+          Buffer.add_string buf "}");
       Buffer.add_string buf "]}")
     (Lattice.by_degree lattice);
   Buffer.add_string buf "\n]\n"

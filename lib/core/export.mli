@@ -21,3 +21,7 @@ val to_json :
       "groups": [{"key": [...], "value": v}]}]. *)
 
 val json_string : func:Aggregate.func -> Cube_result.t -> string
+
+val add_number : Buffer.t -> float -> unit
+(** Append an aggregate value as both formats print it: as ["%.0f"] would
+    for integral values below 1e15 in magnitude, ["%g"] otherwise. *)

@@ -426,6 +426,19 @@ module Tbl = struct
     Array.fold_left
       (fun acc -> function Free -> acc | Used u -> f u.key u.value acc)
       init t.slots
+
+  let slot_count t = Array.length t.slots
+  let used t slot = match t.slots.(slot) with Free -> false | Used _ -> true
+
+  let key_at t slot =
+    match t.slots.(slot) with
+    | Used u -> u.key
+    | Free -> invalid_arg "Group_key.Tbl.key_at: free slot"
+
+  let value_at t slot =
+    match t.slots.(slot) with
+    | Used u -> u.value
+    | Free -> invalid_arg "Group_key.Tbl.value_at: free slot"
 end
 
 (* --- generation-stamped membership set ---------------------------------- *)

@@ -143,6 +143,22 @@ module Tbl : sig
 
   val iter : (key -> 'a -> unit) -> 'a t -> unit
   val fold : (key -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+
+  (** {2 Slots}
+
+      A binding's slot is a handle on it that holds until the table next
+      grows: what an indirect sort of the bindings can carry in an int
+      array. *)
+
+  val slot_count : 'a t -> int
+  (** Slots run over [0 .. slot_count t - 1]. *)
+
+  val used : 'a t -> int -> bool
+  (** Does the slot hold a binding? *)
+
+  val key_at : 'a t -> int -> key
+  val value_at : 'a t -> int -> 'a
+  (** The binding in a used slot; [Invalid_argument] on a free one. *)
 end
 
 (** {1 Generation-stamped membership set}

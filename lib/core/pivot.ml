@@ -60,18 +60,14 @@ let make ~func ~row_axis ?(row_state = 0) ~col_axis ?(col_state = 0) result =
   let marginal id axis =
     let dict = Witness.dict table axis in
     let pos = Array.make (Witness.Dict.size dict) (-1) in
-    let groups = ordered id in
-    let labels =
-      Array.mapi
-        (fun i (key, _) ->
-          let v = Group_key.id_at layout key ~axis in
-          pos.(v) <- i;
-          Witness.Dict.value dict v)
-        groups
-    in
-    ( Array.to_list labels,
-      pos,
-      Array.map (fun (_, cell) -> Some (Aggregate.value func cell)) groups )
+    let n = Cube_result.cuboid_size result id in
+    let labels = Array.make n "" and totals = Array.make n None in
+    ordered id (fun i key cell ->
+        let v = Group_key.id_at layout key ~axis in
+        pos.(v) <- i;
+        labels.(i) <- Witness.Dict.value dict v;
+        totals.(i) <- Some (Aggregate.value func cell));
+    (Array.to_list labels, pos, totals)
   in
   let row_labels, row_pos, row_totals = marginal row_id row_axis in
   let col_labels, col_pos, col_totals = marginal col_id col_axis in

@@ -5,6 +5,7 @@ type 'a entry = {
   e_value : 'a;
   e_bytes : int;
   mutable e_stamp : int;  (* LRU clock: larger = more recently used *)
+  mutable e_hits : int;  (* since insertion *)
 }
 
 type 'a t = {
@@ -17,6 +18,7 @@ type 'a t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
+  mutable evicted_unused : int;
 }
 
 let create ?(on_evict = fun _ _ -> ())
@@ -31,6 +33,7 @@ let create ?(on_evict = fun _ _ -> ())
     hits = 0;
     misses = 0;
     evictions = 0;
+    evicted_unused = 0;
   }
 
 let locked t f =
@@ -46,6 +49,7 @@ let find t key =
       match Hashtbl.find_opt t.table key with
       | Some e ->
           t.hits <- t.hits + 1;
+          e.e_hits <- e.e_hits + 1;
           e.e_stamp <- tick t;
           Some e.e_value
       | None ->
@@ -85,6 +89,10 @@ let insert t ~key ~bytes value =
           else
             match lru t with
             | Some victim ->
+                (* Evicted for room before its first hit: the cache is
+                   churning entries it never serves. *)
+                if victim.e_hits = 0 then
+                  t.evicted_unused <- t.evicted_unused + 1;
                 deferred := detach t victim :: !deferred;
                 incr victims;
                 make_room ()
@@ -105,7 +113,13 @@ let insert t ~key ~bytes value =
         in
         if fits then begin
           Hashtbl.replace t.table key
-            { e_key = key; e_value = value; e_bytes = bytes; e_stamp = tick t };
+            {
+              e_key = key;
+              e_value = value;
+              e_bytes = bytes;
+              e_stamp = tick t;
+              e_hits = 0;
+            };
           true
         end
         else false)
@@ -137,3 +151,4 @@ let resident_bytes t = Governor.account_used t.account
 let hits t = locked t (fun () -> t.hits)
 let misses t = locked t (fun () -> t.misses)
 let evictions t = locked t (fun () -> t.evictions)
+let evicted_unused t = locked t (fun () -> t.evicted_unused)

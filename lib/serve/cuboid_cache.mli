@@ -56,3 +56,7 @@ val resident_bytes : 'a t -> int
 val hits : 'a t -> int
 val misses : 'a t -> int
 val evictions : 'a t -> int
+
+val evicted_unused : 'a t -> int
+(** Entries evicted to make room for an {!insert} without a single
+    {!find} hit since they were inserted — the thrash count. *)

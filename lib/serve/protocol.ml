@@ -178,7 +178,9 @@ let exit_code_of_error = function
   | "corrupt" -> 2
   | "io_fault" -> 3
   | "timeout" | "cancelled" -> 4
-  | "over_budget" | "rejected" | "input_too_large" | "frame_too_large" -> 5
+  | "over_budget" | "rejected" | "input_too_large" | "frame_too_large"
+  | "answer_too_large" ->
+      5
   | _ -> 1
 
 (* Retryable = the same request may succeed on a fresh attempt without

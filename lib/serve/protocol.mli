@@ -151,7 +151,7 @@ type response =
        | [corrupt] | 2 | no |
        | [io_fault] | 3 | yes |
        | [timeout], [cancelled] | 4 | [cancelled] only |
-       | [over_budget], [rejected], [input_too_large], [frame_too_large] | 5 | [rejected] only |
+       | [over_budget], [rejected], [input_too_large], [frame_too_large], [answer_too_large] | 5 | [rejected] only |
        | [shutting_down] | 1 | yes |
        | anything else ([bad_query], ...) | 1 | no |} *)
 

@@ -135,6 +135,7 @@ type t = {
   m_cache_hits : Metrics.counter;
   m_cache_misses : Metrics.counter;
   m_cache_evictions : Metrics.counter;
+  m_cache_evicted_unused : Metrics.counter;
   m_cuboids_base : Metrics.counter;
   m_cuboids_rollup : Metrics.counter;
   m_cuboids_cached : Metrics.counter;
@@ -352,6 +353,8 @@ let create cfg =
           m_cache_hits = Metrics.counter registry "serve.cache.hits";
           m_cache_misses = Metrics.counter registry "serve.cache.misses";
           m_cache_evictions = Metrics.counter registry "serve.cache.evictions";
+          m_cache_evicted_unused =
+            Metrics.counter registry "serve.cache.evicted_unused";
           m_cuboids_base = Metrics.counter registry "serve.cuboids.base";
           m_cuboids_rollup = Metrics.counter registry "serve.cuboids.rollup";
           m_cuboids_cached = Metrics.counter registry "serve.cuboids.cached";
@@ -619,11 +622,27 @@ let serve_cuboids t entry =
   ( views,
     { Protocol.p_base = !base; p_rollup = !rolled; p_cached = !cached } )
 
-let export_string ~func ~format result =
-  match format with
-  | "csv" -> Export.csv_string ~func result
-  | "json" -> Export.json_string ~func result
-  | other -> fail "bad_format" "unknown format %S (expected csv or json)" other
+(* The outbound frame cap, checked before any export work: every group
+   writes at least its shortest possible row — CSV's ["0,0"], one comma
+   per axis and [",0\n"]; JSON's [{"key": [], "value": 0}] — and the
+   wire encoding only adds to the payload, so an answer whose cells
+   already need more bytes than a frame may carry is refused unexported.
+   [serve_connection] checks the encoded answer itself. *)
+let export_answer t ~func ~format result =
+  let export, min_row_bytes =
+    match format with
+    | "csv" ->
+        ( Export.csv_string,
+          6 + Array.length (Lattice.axes (Cube_result.lattice result)) )
+    | "json" -> (Export.json_string, 23)
+    | other -> fail "bad_format" "unknown format %S (expected csv or json)" other
+  in
+  let cells = Cube_result.total_cells result in
+  if cells > t.cfg.max_frame_bytes / min_row_bytes then
+    fail "answer_too_large"
+      "%d cells need at least %d bytes as %s, over the %d-byte frame cap" cells
+      (cells * min_row_bytes) format t.cfg.max_frame_bytes;
+  export ~func result
 
 let locked m f =
   Mutex.lock m;
@@ -697,14 +716,14 @@ let handle_cube t ~rid ~scope ~info ~query ~doc ~algorithm ~format ~no_cache
                   with
                   | Engine.Complete (result, _instr) ->
                       info.ri_cells <- Cube_result.total_cells result;
-                      ( export_string ~func:spec.Engine.func ~format result,
+                      ( export_answer t ~func:spec.Engine.func ~format result,
                         no_provenance,
                         None )
                   | Engine.Partial (reason, result, _instr) ->
                       (* A typed partial cube: what the engine had when
                          the deadline/cancel landed, clearly marked. *)
                       info.ri_cells <- Cube_result.total_cells result;
-                      ( export_string ~func:spec.Engine.func ~format result,
+                      ( export_answer t ~func:spec.Engine.func ~format result,
                         no_provenance,
                         Some (Context.reason_name reason) )
                   | Engine.Failed (Engine.Corrupt msg) ->
@@ -733,7 +752,7 @@ let handle_cube t ~rid ~scope ~info ~query ~doc ~algorithm ~format ~no_cache
                           Engine.Session.result_of_views entry.de_session views
                         in
                         info.ri_cells <- Cube_result.total_cells result;
-                        ( export_string ~func:spec.Engine.func ~format result,
+                        ( export_answer t ~func:spec.Engine.func ~format result,
                           provenance ))
                   with
                   | Ok (payload, provenance) -> (payload, provenance, None)
@@ -1190,13 +1209,22 @@ let sync_cache_counters t =
   (* Hit/miss counters are bumped at their use sites; evictions happen
      behind the server's back (inside cache inserts), so mirror them into
      the registry by delta after each request. *)
-  let evictions = ref 0 in
+  let mirror read counter =
+    let seen = ref 0 in
+    fun () ->
+      let current = read t.cache in
+      let delta = current - !seen in
+      if delta > 0 then Metrics.inc ~by:delta counter;
+      seen := current
+  in
+  let evictions = mirror Cuboid_cache.evictions t.m_cache_evictions in
+  let evicted_unused =
+    mirror Cuboid_cache.evicted_unused t.m_cache_evicted_unused
+  in
   fun () ->
     locked t.state_lock (fun () ->
-        let current = Cuboid_cache.evictions t.cache in
-        let delta = current - !evictions in
-        if delta > 0 then Metrics.inc ~by:delta t.m_cache_evictions;
-        evictions := current;
+        evictions ();
+        evicted_unused ();
         refresh_gauges t)
 
 (* Idempotent, signal-handler safe (no locks): flip the running flag and
@@ -1366,6 +1394,27 @@ let serve_connection t sync st fd =
                   Protocol.Failed
                     { code = "internal"; message = Printexc.to_string e })
         in
+        (* The outbound cap: an answer the peer's frame cap would refuse
+           is replaced by a typed, non-retryable failure instead of being
+           written. *)
+        let response, encoded =
+          let encoded = Protocol.encode_response response in
+          match response with
+          | Protocol.Cube_ok _ when String.length encoded > t.cfg.max_frame_bytes
+            ->
+              Metrics.inc t.m_errors;
+              let refused =
+                Protocol.Failed
+                  {
+                    code = "answer_too_large";
+                    message =
+                      Printf.sprintf "%d-byte answer over the %d-byte frame cap"
+                        (String.length encoded) t.cfg.max_frame_bytes;
+                  }
+              in
+              (refused, Protocol.encode_response refused)
+          | _ -> (response, encoded)
+        in
         let seconds = Unix.gettimeofday () -. t0 in
         observe_request_latency t ~info ~response seconds;
         (* The scope is unbound and every worker joined by now, so the
@@ -1374,7 +1423,6 @@ let serve_connection t sync st fd =
         | Some scope, Some ms when seconds *. 1000. >= ms ->
             capture_slow t ~rid ~scope ~seconds
         | _ -> ());
-        let encoded = Protocol.encode_response response in
         Option.iter
           (fun log ->
             Access_log.write log

@@ -38,7 +38,10 @@ type config = {
   admission_timeout : float option;  (** [None] = wait forever *)
   workers : int;  (** worker domains per cube computation *)
   max_input_bytes : int option;  (** refuse larger XML documents *)
-  max_frame_bytes : int;  (** wire-frame payload cap *)
+  max_frame_bytes : int;
+      (** wire-frame payload cap, both ways: a larger request frame is
+          refused as [frame_too_large], a larger cube answer as
+          [answer_too_large] *)
   io_deadline : float option;
       (** per-frame socket deadline in seconds; a peer that cannot
           deliver (or accept) one frame within it is disconnected —

@@ -744,6 +744,114 @@ let test_export_order_golden () =
     ^ "cuboid 1 ($a:LND): 1 group(s)\n  () COUNT=12\n")
     (Format.asprintf "%a" (Cube_result.pp ?max_groups:None ~func) result)
 
+(* A cube on [<db><r><a0>v</a0>...<ak>v</ak></r>...</db>]: one fact per
+   row of values; axis [$aj] allows LND when [j < relaxable] and is
+   always present otherwise. *)
+let multi_axis_cube ~relaxable rows =
+  let k = match rows with [] -> 0 | r :: _ -> List.length r in
+  let doc =
+    parse_ok
+      ("<db>"
+      ^ String.concat ""
+          (List.map
+             (fun values ->
+               "<r>"
+               ^ String.concat ""
+                   (List.mapi
+                      (fun j v -> Printf.sprintf "<a%d>%s</a%d>" j v j)
+                      values)
+               ^ "</r>")
+             rows)
+      ^ "</db>")
+  in
+  let axes =
+    Array.init k (fun j ->
+        X3_pattern.Axis.make_exn ~name:(Printf.sprintf "$a%d" j)
+          ~steps:[ step c (Printf.sprintf "a%d" j) ]
+          ~allowed:(if j < relaxable then [ Relax.Lnd ] else []))
+  in
+  let spec = Engine.count_spec ~fact_path:[ step d "r" ] ~axes in
+  let p =
+    Engine.prepare ~pool:(small_pool ()) ~store:(X3_xdb.Store.of_document doc)
+      spec
+  in
+  (Engine.table p, fst (Engine.run p Engine.Naive))
+
+(* Value lengths whose u16 length bytes are (0,0), (1,0), (255,0), (0,1)
+   and (1,1). *)
+let order_lengths = [ 0; 1; 255; 256; 257 ]
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* Every cuboid's groups in the order of their [Fixtures.u16_key]s: the
+   oracle shares no code with the engine's ranks. *)
+let check_u16_order name result =
+  Array.iter
+    (fun cid ->
+      let keys =
+        List.map
+          (fun (values, _) -> u16_key values)
+          (Cube_result.cuboid_cells result cid)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: cuboid %d in u16 order" name cid)
+        true
+        (keys = List.sort String.compare keys))
+    (X3_lattice.Lattice.by_degree (Cube_result.lattice result))
+
+(* Digests of the three renderings, taken from the release before the
+   radix-sorted export, not recomputed. *)
+let check_digests name result ~csv ~json ~pp =
+  let func = Aggregate.Count in
+  Alcotest.(check string) (name ^ ": csv") csv
+    (md5 (Export.csv_string ~func result));
+  Alcotest.(check string) (name ^ ": json") json
+    (md5 (Export.json_string ~func result));
+  Alcotest.(check string) (name ^ ": pp") pp
+    (md5
+       (Format.asprintf "%a" (Cube_result.pp ~max_groups:max_int ~func) result))
+
+let test_export_order_two_axes () =
+  let rows =
+    List.concat_map
+      (fun la ->
+        List.concat_map
+          (fun lb ->
+            let row = [ String.make la 'a'; String.make lb 'b' ] in
+            List.init (1 + ((la + lb) mod 3)) (fun _ -> row))
+          order_lengths)
+      order_lengths
+  in
+  let table, result = multi_axis_cube ~relaxable:2 rows in
+  Alcotest.(check bool) "packed layout" true
+    (Group_key.layout_of_table table).Group_key.packed_fits;
+  check_u16_order "two axes" result;
+  check_digests "two axes" result ~csv:"95c6e487d2644fb87a894de52170190f"
+    ~json:"01c095ee8b8a6ffcb5e6a0dd9b37c4cd"
+    ~pp:"7c395f3fb9cba59cfa7c2dd48fd0e5d2"
+
+(* Seven axes whose dictionaries need 68 bits, past the packed budget:
+   the first two carry the awkward lengths, the other five a distinct
+   number per fact. *)
+let test_export_order_wide () =
+  let rows =
+    List.init 600 (fun i ->
+        let awkward j =
+          let len = List.nth order_lengths ((i + j) mod 5) in
+          if len <= 1 then String.make len (Char.chr (Char.code 'a' + (i mod 26)))
+          else Printf.sprintf "%06d" i ^ String.make (len - 6) 'x'
+        in
+        [ awkward 0; awkward 1 ]
+        @ List.init 5 (fun j -> string_of_int (i * (j + 3) mod 601)))
+  in
+  let table, result = multi_axis_cube ~relaxable:2 rows in
+  Alcotest.(check bool) "wide layout" false
+    (Group_key.layout_of_table table).Group_key.packed_fits;
+  check_u16_order "wide" result;
+  check_digests "wide" result ~csv:"0056eb3637501ca46c5e24791db0bb47"
+    ~json:"128d9b11f42018c9562ef44a03d38685"
+    ~pp:"b73621f5c2dcb7e04a8ddad171a786dd"
+
 (* --- coded path vs legacy string grouping --------------------------------- *)
 
 (* Reference cube computed the way the engine grouped before dictionary
@@ -953,6 +1061,96 @@ let test_export_csv () =
     (List.exists (fun l -> String.length l > 0 &&
         List.exists (String.equal "(ALL)") (String.split_on_char ',' l))
        lines)
+
+let treebank_prepared config =
+  let store = X3_xdb.Store.of_document (X3_workload.Treebank.generate config) in
+  let pool =
+    X3_storage.Buffer_pool.create ~capacity_pages:4096
+      (X3_storage.Disk.in_memory ~page_size:8192 ())
+  in
+  Engine.prepare ~pool ~store (X3_workload.Treebank.spec config)
+
+(* Three inputs, each with the csv/json/pp digests every correct family
+   at 1 and 2 workers must reproduce. The digests were taken from the
+   release before COUNTER handed its tables over and export sorted rank
+   keys; they are not computed by the code under test. *)
+let golden_inputs () =
+  [
+    ( "figure 1, query 1",
+      prepared (),
+      false,
+      ( "a150dcc65abd415ab38c5f624a676aa1",
+        "f39ac4c0a529c03f8ff2d2ada475046a",
+        "1b7bf5efd560b0bedbeeeb8fcf488f69" ) );
+    ( "treebank defaults",
+      treebank_prepared X3_workload.Treebank.default,
+      false,
+      ( "5e49f5f8eae5236ff347e106a3a445b1",
+        "e271e61afb191853dd9f6ff48bd2061d",
+        "1289d5d8837dc2774ac726830c69a5de" ) );
+    ( "treebank, 7 sparse axes",
+      treebank_prepared
+        { X3_workload.Treebank.default with axes = 7; coverage = false },
+      true,
+      ( "91604ddee055978bc5452d1b59899cfd",
+        "f269366fa768ae0bf4bbe97eb5b53f8b",
+        "6195b58ae1610a0f5ad9dfb643508723" ) );
+  ]
+
+let test_export_golden_digests () =
+  List.iter
+    (fun (name, p, wide, (csv, json, pp)) ->
+      Alcotest.(check bool) (name ^ ": wide layout") wide
+        (not (Group_key.layout_of_table (Engine.table p)).Group_key.packed_fits);
+      List.iter
+        (fun algorithm ->
+          List.iter
+            (fun workers ->
+              let result, _ = Engine.run ~workers p algorithm in
+              check_digests
+                (Printf.sprintf "%s, %s at %d workers" name
+                   (Engine.algorithm_to_string algorithm)
+                   workers)
+                result ~csv ~json ~pp)
+            [ 1; 2 ])
+        Engine.[ Naive; Counter; Buc; Td ])
+    (golden_inputs ())
+
+(* COUNTER hands each finished counter table to the result as it stands,
+   so the slots its entries landed in are whatever its inserts left;
+   the export must not see them. A budget of 40 counters makes several
+   passes, each handing over tables it filled. (The golden digests cover
+   the one-pass default.) *)
+let test_counter_handoff_export () =
+  List.iter
+    (fun (name, p, _, _) ->
+      let config = { Engine.default_config with counter_budget = 40 } in
+      let result, instr = Engine.run ~config p Engine.Counter in
+      Alcotest.(check bool) (name ^ ": several passes") true
+        (instr.Instrument.passes > 1);
+      Alcotest.(check string)
+        (name ^ ": COUNTER at budget 40 = NAIVE")
+        (Export.csv_string ~func:Aggregate.Count (fst (Engine.run p Engine.Naive)))
+        (Export.csv_string ~func:Aggregate.Count result))
+    (golden_inputs ())
+
+(* Integral values take the digit-by-digit path; every value must print
+   exactly as [Printf] did. *)
+let test_number_formatting () =
+  List.iter
+    (fun v ->
+      let expected =
+        if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+        else Printf.sprintf "%g" v
+      in
+      let buf = Buffer.create 16 in
+      Export.add_number buf v;
+      Alcotest.(check string) (Printf.sprintf "%h" v) expected
+        (Buffer.contents buf))
+    [
+      0.; -0.; 1.; -1.; 0x1p53; -0x1p53; 1e15 -. 1.; -.(1e15 -. 1.); 1e15;
+      -1e15; Float.nan; 2.5; -0.5; 1e20; Float.infinity;
+    ]
 
 let test_export_csv_quoting () =
   let result = one_axis_cube [ {|x,y "z"|} ] in
@@ -1219,6 +1417,62 @@ let prop_counter_budget_independent =
       let config = { Engine.default_config with counter_budget = budget; sort_budget = 1000 } in
       let result, _ = Engine.run ~config p Engine.Counter in
       Cube_result.equal ~func:Aggregate.Count reference result)
+
+(* Documents in which every fact yields exactly one witness row — at
+   most one [a] (direct or wrapped) and at most one [b] per fact — so
+   COUNTER takes its no-dedup path on every block. *)
+let gen_one_row_case =
+  let open QCheck2.Gen in
+  let value = oneofl [ "u"; "v"; "w" ] in
+  let child tag =
+    map (fun v -> X3_xml.Tree.elem tag [ X3_xml.Tree.text v ]) value
+  in
+  let wrapped tag =
+    map
+      (fun v ->
+        X3_xml.Tree.elem "wrap" [ X3_xml.Tree.elem tag [ X3_xml.Tree.text v ] ])
+      value
+  in
+  let fact =
+    map2
+      (fun xs ys -> X3_xml.Tree.elem "r" (xs @ ys))
+      (list_size (int_bound 1) (oneof [ child "a"; wrapped "a" ]))
+      (list_size (int_bound 1) (child "b"))
+  in
+  map
+    (fun facts ->
+      match X3_xml.Tree.elem "db" facts with
+      | X3_xml.Tree.Element e -> X3_xml.Tree.document e
+      | _ -> assert false)
+    (list_size (int_range 1 12) fact)
+
+let prop_counter_budget_independent_one_row =
+  QCheck2.Test.make
+    ~name:"counter result independent of memory budget, one-row blocks"
+    ~count:40
+    QCheck2.Gen.(pair gen_one_row_case (int_range 1 50))
+    (fun (doc, budget) ->
+      let store = X3_xdb.Store.of_document doc in
+      let spec =
+        Engine.count_spec ~fact_path:[ step d "r" ] ~axes:(random_axes ())
+      in
+      let p = Engine.prepare ~pool:(small_pool ()) ~store spec in
+      let cols = Witness.columnar_of_table (Engine.table p) in
+      let one_row_blocks =
+        List.for_all
+          (fun b -> Witness.Columnar.block_lo cols b = Witness.Columnar.block_hi cols b)
+          (List.init (Witness.Columnar.blocks cols) Fun.id)
+      in
+      if not one_row_blocks then
+        QCheck2.Test.fail_report "a fact block holds more than one row";
+      let reference, _ = Engine.run p Engine.Naive in
+      let config =
+        { Engine.default_config with counter_budget = budget; sort_budget = 1000 }
+      in
+      let result, _ = Engine.run ~config p Engine.Counter in
+      Cube_result.equal ~func:Aggregate.Count reference result
+      && Export.csv_string ~func:Aggregate.Count reference
+         = Export.csv_string ~func:Aggregate.Count result)
 
 (* --- domain-parallel execution -------------------------------------------- *)
 
@@ -1933,6 +2187,10 @@ let () =
             test_long_value_exports;
           Alcotest.test_case "export order is the u16-encoding order" `Quick
             test_export_order_golden;
+          Alcotest.test_case "u16 export order over two axes" `Quick
+            test_export_order_two_axes;
+          Alcotest.test_case "u16 export order on a wide layout" `Quick
+            test_export_order_wide;
           Alcotest.test_case "coded path = legacy string grouping" `Quick
             test_coded_path_matches_legacy_grouping;
           Alcotest.test_case "file-backed external sorts" `Quick
@@ -1966,6 +2224,12 @@ let () =
           Alcotest.test_case "csv" `Quick test_export_csv;
           Alcotest.test_case "csv quoting" `Quick test_export_csv_quoting;
           Alcotest.test_case "json shape" `Quick test_export_json_shape;
+          Alcotest.test_case "golden digests, 4 families x 1/2 workers" `Quick
+            test_export_golden_digests;
+          Alcotest.test_case "counter hand-off invisible in the csv" `Quick
+            test_counter_handoff_export;
+          Alcotest.test_case "integral values print as Printf did" `Quick
+            test_number_formatting;
         ] );
       ( "pivot",
         [
@@ -2020,6 +2284,7 @@ let () =
             prop_algorithms_agree;
             prop_optimised_correct_when_licensed;
             prop_counter_budget_independent;
+            prop_counter_budget_independent_one_row;
             prop_parallel_matches_sequential;
             prop_sp_algorithms_agree;
             prop_sp_monotone_match_sets;

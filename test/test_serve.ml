@@ -242,7 +242,12 @@ let test_eviction_stays_within_budget () =
   done;
   let evictions = stats_metric conn "serve.cache.evictions" in
   Alcotest.(check bool) "the tight budget forced evictions" true
-    (evictions >= 1)
+    (evictions >= 1);
+  let unused = stats_metric conn "serve.cache.evicted_unused" in
+  Alcotest.(check bool)
+    (Printf.sprintf "evicted-unused %d within evictions %d" unused evictions)
+    true
+    (unused >= 0 && unused <= evictions)
 
 (* --- hostile and dying clients ------------------------------------------- *)
 
@@ -659,6 +664,7 @@ let test_scrape_endpoint () =
       "x3_serve_latency_cube_bucket{provenance=\"cached\",le=";
       "x3_serve_latency_request_bucket{verb=\"cube\",le=";
       "x3_serve_latency_frame_read_count";
+      "# TYPE x3_serve_cache_evicted_unused counter";
       Printf.sprintf "x3_build_info{version=%S" Server.build_version;
     ]
 

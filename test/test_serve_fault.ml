@@ -55,13 +55,14 @@ let with_client h f =
       Fun.protect ~finally:(fun () -> Server.Client.close conn) (fun () ->
           f conn)
 
-let cube_req ?(no_cache = false) ?deadline_ms ?retries ~doc query =
+let cube_req ?(no_cache = false) ?(format = "csv") ?deadline_ms ?retries ~doc
+    query =
   Protocol.Cube
     {
       query;
       doc = Some doc;
       algorithm = None;
-      format = "csv";
+      format;
       no_cache;
       deadline_ms;
       retries;
@@ -203,6 +204,7 @@ let test_error_taxonomy () =
       ("rejected", 5, true);
       ("input_too_large", 5, false);
       ("frame_too_large", 5, false);
+      ("answer_too_large", 5, false);
       ("shutting_down", 1, true);
       ("bad_query", 1, false);
     ]
@@ -357,6 +359,61 @@ let test_oversized_answer_not_retried () =
   (* The stats request itself is the second one the daemon counts. *)
   Alcotest.(check int) "the daemon computed the answer once" 2
     (stats_metric h "serve.requests.total" - before);
+  await_drained h
+
+(* The daemon caps its answers as it caps requests: a cube answer over
+   its own frame cap is a typed, non-retryable [answer_too_large],
+   computed once however many retries the client allows. A cell count
+   that already needs more bytes than the cap is refused before export
+   (the 40-tree CSV: ~600 rows of at least 9 bytes); otherwise the
+   encoded answer is measured (figure 1 as JSON: 110 groups, 6.5 KB).
+   A small answer through the same daemon still succeeds. *)
+let test_answer_over_daemon_cap () =
+  with_figure1 @@ fun fig_path ->
+  with_bank ~trees:40 @@ fun bank_path ->
+  with_server ~tune:(fun c -> { c with Server.max_frame_bytes = 4096 })
+  @@ fun h ->
+  let contains ~sub s =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  let refused ~what ~mentions req =
+    let before = stats_metric h "serve.requests.total" in
+    (match
+       Server.Client.request_with_retry ~retries:3 ~backoff:0.001
+         ~deadline:10.0 h.address req
+     with
+    | Ok (Protocol.Failed { code = "answer_too_large"; message }) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names %S" what message mentions)
+          true (contains ~sub:mentions message)
+    | Ok (Protocol.Failed { code; message }) ->
+        Alcotest.failf "%s: failed as %s: %s" what code message
+    | Ok _ -> Alcotest.failf "%s: an answer over the 4 KiB cap was sent" what
+    | Error msg -> Alcotest.failf "%s: transport error: %s" what msg);
+    (* The stats request itself is the second one the daemon counts. *)
+    Alcotest.(check int)
+      (what ^ ": one daemon-side cube, no retries")
+      2
+      (stats_metric h "serve.requests.total" - before)
+  in
+  refused ~what:"40-tree CSV" ~mentions:"cells need"
+    (cube_req ~doc:bank_path bank_query);
+  refused ~what:"figure-1 JSON" ~mentions:"byte answer"
+    (cube_req ~format:"json" ~doc:fig_path figure1_query);
+  (match
+     Server.Client.request_with_retry ~deadline:10.0 h.address
+       (cube_req ~doc:fig_path figure1_query)
+   with
+  | Ok (Protocol.Cube_ok { payload; _ }) ->
+      Alcotest.(check string)
+        "a 2.3 KB answer passes the same daemon"
+        (cold_export ~doc_path:fig_path ~query:figure1_query)
+        payload
+  | _ -> Alcotest.fail "the small answer failed");
   await_drained h
 
 (* A complete frame that does not decode is deterministic: the same
@@ -994,6 +1051,25 @@ let test_cache_snapshot_preserves_lru_order () =
     "snapshot is LRU-oldest first" [ "b"; "c"; "a" ]
     (List.map (fun (k, _, _) -> k) (Cuboid_cache.snapshot cache))
 
+(* The thrash counter counts only entries evicted for room before their
+   first hit. *)
+let test_cache_counts_unused_evictions () =
+  let account = Governor.open_account (Some (Governor.create ~max_bytes:20 ())) in
+  let cache = Cuboid_cache.create ~account () in
+  ignore (Cuboid_cache.insert cache ~key:"a" ~bytes:10 1 : bool);
+  ignore (Cuboid_cache.insert cache ~key:"b" ~bytes:10 2 : bool);
+  ignore (Cuboid_cache.insert cache ~key:"c" ~bytes:10 3 : bool);
+  Alcotest.(check int) "evicting a never-read entry counts 1" 1
+    (Cuboid_cache.evicted_unused cache);
+  ignore (Cuboid_cache.find cache "b" : int option);
+  ignore (Cuboid_cache.find cache "c" : int option);
+  ignore (Cuboid_cache.insert cache ~key:"d" ~bytes:10 4 : bool);
+  Alcotest.(check bool) "the read entry was the one evicted" false
+    (Cuboid_cache.mem cache "b");
+  Alcotest.(check int) "evicting a read entry counts 0" 1
+    (Cuboid_cache.evicted_unused cache);
+  Alcotest.(check int) "both were evictions" 2 (Cuboid_cache.evictions cache)
+
 let () =
   Alcotest.run "x3 serve faults"
     [
@@ -1003,6 +1079,8 @@ let () =
             `Quick test_error_taxonomy;
           Alcotest.test_case "warm store round-trips and rejects garbage"
             `Quick test_warm_store_roundtrip_and_rejects_garbage;
+          Alcotest.test_case "cache counts evictions before first reuse"
+            `Quick test_cache_counts_unused_evictions;
           Alcotest.test_case "cache snapshot preserves LRU order" `Quick
             test_cache_snapshot_preserves_lru_order;
         ] );
@@ -1020,6 +1098,8 @@ let () =
             test_oversized_answer_not_retried;
           Alcotest.test_case "undecodable answer is not retried" `Quick
             test_undecodable_answer_not_retried;
+          Alcotest.test_case "answer over the daemon's cap is typed, not sent"
+            `Quick test_answer_over_daemon_cap;
         ] );
       ( "slow-clients",
         [
