@@ -107,11 +107,10 @@ let codec_tests () =
       (Staged.stage (fun () -> ignore (X3_pattern.Witness.decode encoded)));
   ]
 
-(* Grouping rows under packed integer keys through the scratch-keyed
-   [Group_key.Tbl]: every algorithm's inner loop per row. *)
+(* Grouping rows under packed integer keys into a [Group_table] through a
+   scratch: every algorithm's inner loop per row. *)
 
 module Gk = X3_core.Group_key
-module Aggregate = X3_core.Aggregate
 
 type key_workload = {
   dict_sizes : int array;  (** dictionary size per axis *)
@@ -141,20 +140,22 @@ let packed_group_count w =
   let cuboid =
     Array.make (Array.length w.dict_sizes) (X3_lattice.State.Present 0)
   in
-  let tbl = Gk.Tbl.create 1024 in
+  let tbl = X3_core.Group_table.create ~words:layout.Gk.words in
   let scratch = Gk.make_scratch layout in
+  let ones = [| 1.0 |] in
   Array.iter
     (fun row ->
       Gk.load scratch cuboid row;
-      Aggregate.add (Gk.Tbl.find_or_add tbl scratch ~default:Aggregate.create)
-        1.0)
+      X3_core.Group_table.add tbl
+        (X3_core.Group_table.find_or_add tbl (Gk.words scratch))
+        ones 0)
     w.kw_rows;
-  Gk.Tbl.length tbl
+  X3_core.Group_table.length tbl
 
 let key_tests () =
   let w = key_workload () in
   [
-    Test.make ~name:"group-key/packed-int-tbl"
+    Test.make ~name:"group-key/group-table"
       (Staged.stage (fun () -> ignore (packed_group_count w)));
   ]
 

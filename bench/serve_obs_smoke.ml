@@ -6,8 +6,10 @@
    disabled.
 
    Both daemons serve the same dense treebank workload over real unix
-   sockets; each is warmed until fully cache-served, then timed over
-   best-of-N batches of warm repeats.  Gates:
+   sockets; each is warmed until fully cache-served, then both stay up
+   and are timed over best-of-N batches of warm repeats, their batches
+   alternating (and which daemon goes first alternating by round) so
+   that drift in the host's speed falls on both sides alike.  Gates:
 
    - overhead: the instrumented batch must cost <= 5% more than the
      bare one (the baseline batch is floored at 20 ms so scheduler
@@ -95,18 +97,30 @@ let connect d =
   | Ok c -> c
   | Error msg -> die "serve-obs-smoke: connect: %s" msg
 
-(* Best-of-N wall time of [batch] warm round trips on one connection. *)
-let measure conn ~doc =
-  let best = ref infinity in
-  for _ = 1 to rounds do
+(* Best-of-N wall time of [batch] warm round trips on each of two
+   connections. Every round times one batch on each, the first
+   connection leading in odd rounds and the second in even ones. *)
+let measure_pair a b ~doc =
+  let best_a = ref infinity and best_b = ref infinity in
+  let time conn best =
     let t0 = Unix.gettimeofday () in
     for _ = 1 to batch do
       ignore (cube_exn conn ~doc : string * Protocol.provenance)
     done;
     let dt = Unix.gettimeofday () -. t0 in
     if dt < !best then best := dt
+  in
+  for round = 1 to rounds do
+    if round mod 2 = 1 then begin
+      time a best_a;
+      time b best_b
+    end
+    else begin
+      time b best_b;
+      time a best_a
+    end
   done;
-  !best
+  (!best_a, !best_b)
 
 let http_get port path =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -163,9 +177,6 @@ let () =
   let bare = start_daemon () in
   let bare_conn = connect bare in
   let bare_payload, _ = cube_exn bare_conn ~doc:doc_path in
-  let bare_seconds = measure bare_conn ~doc:doc_path in
-  Server.Client.close bare_conn;
-  stop_daemon bare;
   (* --- instrumented daemon: access log + scrape endpoint ----------------- *)
   let obs =
     start_daemon
@@ -179,7 +190,9 @@ let () =
   in
   let obs_conn = connect obs in
   let obs_payload, _ = cube_exn obs_conn ~doc:doc_path in
-  let obs_seconds = measure obs_conn ~doc:doc_path in
+  let bare_seconds, obs_seconds =
+    measure_pair bare_conn obs_conn ~doc:doc_path
+  in
   (* Scrape while the daemon is warm and loaded: the text must carry the
      per-provenance latency family. *)
   let scrape =
@@ -192,6 +205,8 @@ let () =
     && contains ~needle:"x3_serve_latency_cube_bucket{provenance=" scrape
     && contains ~needle:"x3_build_info{version=" scrape
   in
+  Server.Client.close bare_conn;
+  stop_daemon bare;
   Server.Client.close obs_conn;
   let registry = Server.registry obs.d_server in
   let snapshot = Obs_metrics.snapshot registry in

@@ -14,6 +14,7 @@ type variant = [ `Plain | `Opt | `Custom of X3_lattice.Properties.t ]
 type env = {
   states : State.t array;
   ids : int array;  (* current partition's dictionary id per present axis *)
+  key : Group_key.scratch;  (* the current group's key words *)
   instr : Instrument.t;
 }
 
@@ -26,7 +27,6 @@ let compute ~variant (ctx : Context.t) =
     let cols = Context.cols ctx in
     let bm = Context.block_measures ctx cols in
     let nrows = Columnar.rows cols in
-    let measure_row r = bm.(Columnar.block_of_row cols r) in
     let cell_id r ai = Columnar.id cols ~axis:ai ~row:r in
     let dict_sizes = Witness.dict_sizes ctx.table in
     (* Only rows holding the fact's first binding on every removed axis
@@ -34,14 +34,17 @@ let compute ~variant (ctx : Context.t) =
        partition keeps the others because deeper refinements may make
        those axes present. *)
     let represents env r =
-      let rec go ai =
-        ai >= k
-        || ((match env.states.(ai) with
-            | State.Removed -> Columnar.first cols ~axis:ai ~row:r
-            | State.Present _ -> true)
-           && go (ai + 1))
-      in
-      go 0
+      let ai = ref 0 in
+      while
+        !ai < k
+        &&
+        match env.states.(!ai) with
+        | State.Removed -> Columnar.first cols ~axis:!ai ~row:r
+        | State.Present _ -> true
+      do
+        incr ai
+      done;
+      !ai >= k
     in
     (* Three aggregation modes (§3.4):
        - BUC: representative rows, deduplicated by fact id — always
@@ -61,17 +64,24 @@ let compute ~variant (ctx : Context.t) =
             `Representative
           else `Dedup
     in
-    let aggregate_into env (cid, mode) key rows_lo rows_hi part =
-      let cell = lazy (Cube_result.cell result ~cuboid:cid ~key) in
+    (* The group is inserted on its first counted row: a group exists only
+       if some fact is in it. *)
+    let aggregate_into env (cid, mode) rows_lo rows_hi part =
+      let tbl = Cube_result.cells result cid in
+      let words = Group_key.words env.key in
+      let g = ref (-1) in
+      let add r =
+        if !g < 0 then g := Group_table.find_or_add tbl words;
+        Group_table.add tbl !g bm (Columnar.block_of_row cols r)
+      in
       match mode with
       | `Raw ->
           for i = rows_lo to rows_hi do
-            Aggregate.add (Lazy.force cell) (measure_row part.(i))
+            add part.(i)
           done
       | `Representative ->
           for i = rows_lo to rows_hi do
-            if represents env part.(i) then
-              Aggregate.add (Lazy.force cell) (measure_row part.(i))
+            if represents env part.(i) then add part.(i)
           done
       | `Dedup ->
           (* Every partition sort is stable and the root is in table
@@ -86,7 +96,7 @@ let compute ~variant (ctx : Context.t) =
               if fact <> !last then begin
                 last := fact;
                 incr tracked;
-                Aggregate.add (Lazy.force cell) (measure_row part.(i))
+                add part.(i)
               end
             end
           done;
@@ -143,9 +153,8 @@ let compute ~variant (ctx : Context.t) =
       | Some target when hi >= lo ->
           env.instr.Instrument.keys_built <-
             env.instr.Instrument.keys_built + 1;
-          aggregate_into env target
-            (Group_key.of_axis_ids ctx.layout env.states env.ids)
-            lo hi part
+          Group_key.load_ids env.key env.states env.ids;
+          aggregate_into env target lo hi part
       | _ -> ());
       for ai = next to k - 1 do
         List.iter
@@ -229,7 +238,12 @@ let compute ~variant (ctx : Context.t) =
       end
     in
     let fresh_env ~instr =
-      { states = Array.make k State.Removed; ids = Array.make k 0; instr }
+      {
+        states = Array.make k State.Removed;
+        ids = Array.make k 0;
+        key = Group_key.make_scratch ctx.layout;
+        instr;
+      }
     in
     let root = Array.init nrows Fun.id in
     if Context.workers ctx <= 1 then begin

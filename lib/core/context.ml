@@ -342,16 +342,17 @@ let frozen_measure t rows =
 
 let cols_represents cuboid cols ~row =
   let n = Array.length cuboid in
-  let rec go ai =
-    ai >= n
-    ||
-    match cuboid.(ai) with
-    | State.Removed ->
-        Witness.Columnar.first cols ~axis:ai ~row && go (ai + 1)
-    | State.Present m ->
-        Witness.Columnar.qualifies cols ~axis:ai ~row ~state:m && go (ai + 1)
-  in
-  go 0
+  let ai = ref 0 in
+  while
+    !ai < n
+    &&
+    match cuboid.(!ai) with
+    | State.Removed -> Witness.Columnar.first cols ~axis:!ai ~row
+    | State.Present m -> Witness.Columnar.qualifies cols ~axis:!ai ~row ~state:m
+  do
+    incr ai
+  done;
+  !ai >= n
 
 let row_represents cuboid row =
   let n = Array.length cuboid in

@@ -5,17 +5,21 @@ module Trace = X3_obs.Trace
 (* A cuboid's in-pass counter state. [Radix.plan] picks [Racc] (a dense
    unboxed slot array, no hashing) for cuboids whose compact key domain
    fits [direct_bits_cap]; everything else — including domains that would
-   radix-partition in a single-cuboid kernel — groups through the hash
+   radix-partition in a single-cuboid kernel — groups through a group
    table, because COUNTER interleaves many cuboids per block and only the
    direct tier decomposes that way. The choice is a pure function of
-   (layout, cuboid, radix_bits): identical at any worker count. *)
+   (layout, cuboid, radix_bits): identical at any worker count. A pass
+   holds one grouping per cuboid of the pass, position for position;
+   [Evicted] marks a cuboid sent on to the next pass. *)
 type grouping =
-  | Htbl of Aggregate.cell Group_key.Tbl.t
+  | Htbl of Group_table.t
   | Racc of Radix.plan * Radix.cursor * Radix.acc
+  | Evicted
 
 let grouping_size = function
-  | Htbl counters -> Group_key.Tbl.length counters
+  | Htbl counters -> Group_table.length counters
   | Racc (_, _, acc) -> Radix.acc_occupied acc
+  | Evicted -> 0
 
 type scratch_meter = { m_ctx : Context.t; mutable m_live : int }
 
@@ -46,43 +50,62 @@ let note_strategy (instr : Instrument.t) p =
   else
     instr.Instrument.hash_groupings <- instr.Instrument.hash_groupings + 1
 
-(* Bump a hash-grouped cuboid's counters for the fact block [lo..hi],
-   each distinct key of the block once; returns how many counters it
-   created. One row cannot produce a key twice, so a one-row block skips
-   the dedup set. *)
-let count_block ~(instr : Instrument.t) ~scratch ~seen counters cuboid cols
-    ~lo ~hi m =
-  let before = Group_key.Tbl.length counters in
-  if lo = hi then begin
-    if Context.cols_represents cuboid cols ~row:lo then begin
-      Group_key.load_cols scratch cuboid cols ~row:lo;
-      instr.Instrument.keys_built <- instr.Instrument.keys_built + 1;
-      Aggregate.add
-        (Group_key.Tbl.find_or_add counters scratch ~default:Aggregate.create)
-        m
-    end
-  end
-  else begin
-    Group_key.Seen.reset seen;
-    for r = lo to hi do
-      if Context.cols_represents cuboid cols ~row:r then begin
-        Group_key.load_cols scratch cuboid cols ~row:r;
-        instr.Instrument.keys_built <- instr.Instrument.keys_built + 1;
-        if Group_key.Seen.add seen scratch then
-          Aggregate.add
-            (Group_key.Tbl.find_or_add counters scratch
-               ~default:Aggregate.create)
-            m
-      end
-    done
-  end;
-  Group_key.Tbl.length counters - before
+let fresh_grouping (ctx : Context.t) cols p =
+  if direct p then Racc (p, Radix.cursor p cols, Radix.acc_create p)
+  else Htbl (Group_table.create ~words:ctx.layout.Group_key.words)
+
+(* Bump one cuboid's counters for fact block [b], rows [lo..hi], each
+   distinct key of the block once: a counter's mark stamp is the last
+   block that bumped it. Measures are [bm.(b)]. Returns how many counters
+   it created. *)
+let count_block ~(instr : Instrument.t) ~scratch g cuboid cols ~lo ~hi bm b =
+  match g with
+  | Evicted -> 0
+  | Racc (_, cur, acc) ->
+      let created = ref 0 in
+      for r = lo to hi do
+        let k = Radix.key cur r in
+        if k >= 0 && Radix.first_on_removed cur r then begin
+          instr.Instrument.keys_built <- instr.Instrument.keys_built + 1;
+          if Radix.acc_add acc ~slot:k ~mark:b bm b then incr created
+        end
+      done;
+      !created
+  | Htbl counters ->
+      let before = Group_table.length counters in
+      let words = Group_key.words scratch in
+      for r = lo to hi do
+        if Context.cols_represents cuboid cols ~row:r then begin
+          Group_key.load_cols scratch cuboid cols ~row:r;
+          instr.Instrument.keys_built <- instr.Instrument.keys_built + 1;
+          ignore
+            (Group_table.add_marked counters
+               (Group_table.find_or_add counters words)
+               ~mark:b bm b)
+        end
+      done;
+      Group_table.length counters - before
+
+(* The fattest live grouping of a pass, from position [from] on (ties to
+   the earliest): the eviction victim. *)
+let fattest active ~from =
+  let victim = ref (-1) and victim_size = ref (-1) in
+  for j = from to Array.length active - 1 do
+    match active.(j) with
+    | Evicted -> ()
+    | g ->
+        let size = grouping_size g in
+        if size > !victim_size then begin
+          victim := j;
+          victim_size := size
+        end
+  done;
+  !victim
 
 let compute_sequential (ctx : Context.t) =
   let result = Cube_result.create ~table:ctx.table ctx.lattice in
   let instr = ctx.instr in
   let scratch = Group_key.make_scratch ctx.layout in
-  let seen = Group_key.Seen.create () in
   let plan_of = make_plan_of ctx in
   let remaining = ref (Array.to_list (Lattice.by_degree ctx.lattice)) in
   (* Byte accounting: [paid] is how many counters' worth of bytes the
@@ -130,48 +153,32 @@ let compute_sequential (ctx : Context.t) =
        end;
        first_pass := false;
        let cids = Array.of_list !remaining in
-       let active : (int, grouping) Hashtbl.t = Hashtbl.create 64 in
-       Array.iter
-         (fun cid ->
-           let p = plan_of cid in
-           note_strategy instr p;
-           if direct p then begin
-             scratch_reserve meter instr (Radix.acc_bytes p);
-             Hashtbl.replace active cid
-               (Racc (p, Radix.cursor p cols, Radix.acc_create p))
-           end
-           else
-             (* The result's own initial capacity: a handed-off table
-                grows exactly as a copy into the result would. *)
-             Hashtbl.replace active cid (Htbl (Group_key.Tbl.create 64)))
-         cids;
+       let cuboids = Array.map (Lattice.cuboid ctx.lattice) cids in
+       let active =
+         Array.map
+           (fun cid ->
+             let p = plan_of cid in
+             note_strategy instr p;
+             if direct p then scratch_reserve meter instr (Radix.acc_bytes p);
+             fresh_grouping ctx cols p)
+           cids
+       in
+       let active_count = ref (Array.length cids) in
        let live = ref 0 in
        let evicted = ref [] in
        let evict_one () =
-         let victim = ref (-1) and victim_size = ref (-1) in
-         Array.iter
-           (fun cid ->
-             match Hashtbl.find_opt active cid with
-             | None -> ()
-             | Some g ->
-                 let size = grouping_size g in
-                 if size > !victim_size then begin
-                   victim := cid;
-                   victim_size := size
-                 end)
-           cids;
-         (match Hashtbl.find_opt active !victim with
-         | Some (Racc (p, _, _)) -> scratch_release meter (Radix.acc_bytes p)
+         let j = fattest active ~from:0 in
+         let size = grouping_size active.(j) in
+         (match active.(j) with
+         | Racc (p, _, _) -> scratch_release meter (Radix.acc_bytes p)
          | _ -> ());
-         Hashtbl.remove active !victim;
-         live := !live - !victim_size;
-         evicted := !victim :: !evicted;
+         active.(j) <- Evicted;
+         decr active_count;
+         live := !live - size;
+         evicted := cids.(j) :: !evicted;
          Trace.instant "governor.evict"
            ~attrs:
-             [
-               ("cuboid", Trace.Int !victim);
-               ("counters", Trace.Int !victim_size);
-             ]
+             [ ("cuboid", Trace.Int cids.(j)); ("counters", Trace.Int size) ]
        in
        (* Evict the fattest cuboid until we fit (but keep at least one: a
           single cuboid larger than memory has nowhere to go — the paper
@@ -179,44 +186,27 @@ let compute_sequential (ctx : Context.t) =
           the byte budget squeezes the same spill path harder, and only a
           single cuboid that still cannot be paid for is the floor: stop. *)
        let enforce_budget () =
-         while !live > ctx.counter_budget && Hashtbl.length active > 1 do
+         while !live > ctx.counter_budget && !active_count > 1 do
            evict_one ()
          done;
-         while
-           (not (pay (!result_cells + !live))) && Hashtbl.length active > 1
-         do
+         while (not (pay (!result_cells + !live))) && !active_count > 1 do
            evict_one ()
          done;
          if not (pay (!result_cells + !live)) then
            Context.stop ctx Context.Over_budget;
          settle (!result_cells + !live)
        in
-       let cuboid_of = Lattice.cuboid ctx.lattice in
        for b = 0 to nblocks - 1 do
          (* Fact blocks are coarse enough for the unamortised check — and
             it keeps stops deterministic on small tables. *)
          Context.check ctx;
          let lo = Columnar.block_lo cols b and hi = Columnar.block_hi cols b in
-         let m = bm.(b) in
-         Array.iter
-           (fun cid ->
-             match Hashtbl.find_opt active cid with
-             | None -> ()
-             | Some (Racc (_, cur, acc)) ->
-                 for r = lo to hi do
-                   let k = Radix.key cur r in
-                   if k >= 0 && Radix.first_on_removed cur r then begin
-                     instr.Instrument.keys_built <-
-                       instr.Instrument.keys_built + 1;
-                     if Radix.acc_add acc ~slot:k ~mark:b m then incr live
-                   end
-                 done
-             | Some (Htbl counters) ->
-                 live :=
-                   !live
-                   + count_block ~instr ~scratch ~seen counters (cuboid_of cid)
-                       cols ~lo ~hi m)
-           cids;
+         for j = 0 to Array.length cids - 1 do
+           live :=
+             !live
+             + count_block ~instr ~scratch active.(j) cuboids.(j) cols ~lo ~hi
+                 bm b
+         done;
          if !live > instr.Instrument.peak_counters then
            instr.Instrument.peak_counters <- !live;
          enforce_budget ()
@@ -225,11 +215,11 @@ let compute_sequential (ctx : Context.t) =
           Completed counters become result cells, keeping their
           reservation: a hash cuboid hands its table to the result as it
           stands, and a flushed radix cuboid's slot array is done. *)
-       Array.iter
-         (fun cid ->
-           match Hashtbl.find_opt active cid with
-           | None -> ()
-           | Some g ->
+       Array.iteri
+         (fun j cid ->
+           match active.(j) with
+           | Evicted -> ()
+           | g ->
                Trace.complete "cuboid.compute" ~start:pass_t0
                  ~attrs:
                    [
@@ -240,17 +230,15 @@ let compute_sequential (ctx : Context.t) =
                (match g with
                | Htbl counters -> Cube_result.adopt result ~cuboid:cid counters
                | Racc (p, _, acc) ->
-                   Radix.acc_flush acc ~f:(fun compact cell ->
-                       Cube_result.set_cell result ~cuboid:cid
-                         ~key:(Radix.key_of_compact p ctx.Context.layout compact)
-                         cell);
-                   scratch_release meter (Radix.acc_bytes p)))
+                   Radix.acc_flush p acc (Cube_result.cells result cid);
+                   scratch_release meter (Radix.acc_bytes p)
+               | Evicted -> ()))
          cids;
        Trace.complete "counter.pass" ~start:pass_t0
          ~attrs:
            [
              ("pass", Trace.Int instr.Instrument.passes);
-             ("completed", Trace.Int (Hashtbl.length active));
+             ("completed", Trace.Int !active_count);
              ("evicted", Trace.Int (List.length !evicted));
            ];
        result_cells := !result_cells + !live;
@@ -271,9 +259,9 @@ let compute_sequential (ctx : Context.t) =
 
 type worker = {
   scratch : Group_key.scratch;
-  seen : Group_key.Seen.t;
   instr : Instrument.t;
-  active : (int, grouping) Hashtbl.t;
+  active : grouping array;  (** position for position with the pass *)
+  mutable active_count : int;
   mutable live : int;
   mutable peak : int;
   mutable evicted : int list;
@@ -303,7 +291,6 @@ let compute_parallel (ctx : Context.t) =
               true
             end
     in
-    let cuboid_of = Lattice.cuboid ctx.lattice in
     let meter = { m_ctx = ctx; m_live = 0 } in
     let remaining = ref (Array.to_list (Lattice.by_degree ctx.lattice)) in
     let first_pass = ref true in
@@ -321,6 +308,7 @@ let compute_parallel (ctx : Context.t) =
       end;
       first_pass := false;
       let cids = Array.of_list !remaining in
+      let cuboids = Array.map (Lattice.cuboid ctx.lattice) cids in
       Array.iter (fun cid -> note_strategy instr (plan_of cid)) cids;
       (* Every worker allocates its direct slot arrays up front; book them
          all here so a refused reservation stops on this domain, not
@@ -345,22 +333,14 @@ let compute_parallel (ctx : Context.t) =
             let states =
               Parallel.run ~workers:ctx.workers ~tasks:nblocks
                 ~init:(fun _ ->
-                  let active = Hashtbl.create 64 in
-                  Array.iter
-                    (fun cid ->
-                      let p = plan_of cid in
-                      if direct p then
-                        Hashtbl.replace active cid
-                          (Racc (p, Radix.cursor p cols, Radix.acc_create p))
-                      else
-                        Hashtbl.replace active cid
-                          (Htbl (Group_key.Tbl.create 256)))
-                    cids;
                   {
                     scratch = Group_key.make_scratch ctx.layout;
-                    seen = Group_key.Seen.create ();
                     instr = Instrument.create ();
-                    active;
+                    active =
+                      Array.map
+                        (fun cid -> fresh_grouping ctx cols (plan_of cid))
+                        cids;
+                    active_count = Array.length cids;
                     live = 0;
                     peak = 0;
                     evicted = [];
@@ -368,28 +348,12 @@ let compute_parallel (ctx : Context.t) =
                 ~body:(fun w b ->
                   let lo = Columnar.block_lo cols b
                   and hi = Columnar.block_hi cols b in
-                  let m = bm.(b) in
-                  Array.iter
-                    (fun cid ->
-                      match Hashtbl.find_opt w.active cid with
-                      | None -> ()
-                      | Some (Racc (_, cur, acc)) ->
-                          for r = lo to hi do
-                            let k = Radix.key cur r in
-                            if k >= 0 && Radix.first_on_removed cur r then begin
-                              w.instr.Instrument.keys_built <-
-                                w.instr.Instrument.keys_built + 1;
-                              if Radix.acc_add acc ~slot:k ~mark:b m then
-                                w.live <- w.live + 1
-                            end
-                          done
-                      | Some (Htbl counters) ->
-                          w.live <-
-                            w.live
-                            + count_block ~instr:w.instr ~scratch:w.scratch
-                                ~seen:w.seen counters (cuboid_of cid) cols ~lo
-                                ~hi m)
-                    cids;
+                  for j = 0 to Array.length cids - 1 do
+                    w.live <-
+                      w.live
+                      + count_block ~instr:w.instr ~scratch:w.scratch
+                          w.active.(j) cuboids.(j) cols ~lo ~hi bm b
+                  done;
                   if w.live > w.peak then w.peak <- w.live;
                   (* Worker-local budget enforcement: evict the locally
                      fattest cuboid (ties to the earliest in pass order —
@@ -399,30 +363,18 @@ let compute_parallel (ctx : Context.t) =
                      different cuboid, leaving no pass with a completion —
                      protecting a common cuboid guarantees progress just
                      as the sequential keep-at-least-one rule does. *)
-                  while w.live > pass_budget && Hashtbl.length w.active > 1 do
-                    let victim = ref (-1) and victim_size = ref (-1) in
-                    Array.iteri
-                      (fun i cid ->
-                        match
-                          if i = 0 then None
-                          else Hashtbl.find_opt w.active cid
-                        with
-                        | None -> ()
-                        | Some g ->
-                            let size = grouping_size g in
-                            if size > !victim_size then begin
-                              victim := cid;
-                              victim_size := size
-                            end)
-                      cids;
-                    Hashtbl.remove w.active !victim;
-                    w.live <- w.live - !victim_size;
-                    w.evicted <- !victim :: w.evicted;
+                  while w.live > pass_budget && w.active_count > 1 do
+                    let j = fattest w.active ~from:1 in
+                    let size = grouping_size w.active.(j) in
+                    w.active.(j) <- Evicted;
+                    w.active_count <- w.active_count - 1;
+                    w.live <- w.live - size;
+                    w.evicted <- cids.(j) :: w.evicted;
                     Trace.instant "governor.evict"
                       ~attrs:
                         [
-                          ("cuboid", Trace.Int !victim);
-                          ("counters", Trace.Int !victim_size);
+                          ("cuboid", Trace.Int cids.(j));
+                          ("counters", Trace.Int size);
                         ]
                   done)
             in
@@ -458,15 +410,12 @@ let compute_parallel (ctx : Context.t) =
                guarantee: if even it does not fit, the spill path is at
                its floor and the run is over budget. *)
             let merged_any = ref false in
-            Array.iter
-              (fun cid ->
+            Array.iteri
+              (fun j cid ->
                 if not (Hashtbl.mem evicted_any cid) then begin
                   let cells =
                     Array.fold_left
-                      (fun acc w ->
-                        match Hashtbl.find_opt w.active cid with
-                        | None -> acc
-                        | Some g -> acc + grouping_size g)
+                      (fun acc w -> acc + grouping_size w.active.(j))
                       0 states
                   in
                   if not (pay (!result_cells + cells)) then begin
@@ -484,27 +433,14 @@ let compute_parallel (ctx : Context.t) =
                           ("cells", Trace.Int cells);
                           ("pass", Trace.Int instr.Instrument.passes);
                         ];
+                    let into = Cube_result.cells result cid in
                     Array.iter
                       (fun w ->
-                        match Hashtbl.find_opt w.active cid with
-                        | None -> ()
-                        | Some (Htbl counters) ->
-                            Group_key.Tbl.iter
-                              (fun key cell ->
-                                Aggregate.merge
-                                  ~into:
-                                    (Cube_result.cell result ~cuboid:cid ~key)
-                                  cell)
-                              counters
-                        | Some (Racc (p, _, acc)) ->
-                            Radix.acc_flush acc ~f:(fun compact cell ->
-                                Aggregate.merge
-                                  ~into:
-                                    (Cube_result.cell result ~cuboid:cid
-                                       ~key:
-                                         (Radix.key_of_compact p
-                                            ctx.Context.layout compact))
-                                  cell))
+                        match w.active.(j) with
+                        | Evicted -> ()
+                        | Htbl counters ->
+                            Group_table.merge_into into ~src:counters
+                        | Racc (p, _, acc) -> Radix.acc_flush p acc into)
                       states
                   end
                 end)

@@ -1,22 +1,25 @@
 module Lattice = X3_lattice.Lattice
 module Witness = X3_pattern.Witness
 
-(* Cells are stored under coded (packed-integer) keys; the value-keyed API
-   below translates through the witness dictionaries. *)
+(* Each cuboid's cells are one group table under coded keys; the
+   value-keyed API below translates through the witness dictionaries. *)
 
 type t = {
   lattice : Lattice.t;
   table : Witness.t;
   layout : Group_key.layout;
-  cells : Aggregate.cell Group_key.Tbl.t array;
+  cells : Group_table.t array;
 }
 
 let create ~table lattice =
+  let layout = Group_key.layout_of_table table in
   {
     lattice;
     table;
-    layout = Group_key.layout_of_table table;
-    cells = Array.init (Lattice.size lattice) (fun _ -> Group_key.Tbl.create 64);
+    layout;
+    cells =
+      Array.init (Lattice.size lattice) (fun _ ->
+          Group_table.create ~words:layout.Group_key.words);
   }
 
 let lattice t = t.lattice
@@ -25,32 +28,25 @@ let layout t = t.layout
 
 (* --- coded hot path ----------------------------------------------------- *)
 
-let cell t ~cuboid ~key =
-  let tbl = t.cells.(cuboid) in
-  match Group_key.Tbl.find_opt tbl key with
-  | Some c -> c
-  | None ->
-      let c = Aggregate.create () in
-      Group_key.Tbl.replace tbl key c;
-      c
-
-let cell_scratch t ~cuboid scratch =
-  Group_key.Tbl.find_or_add t.cells.(cuboid) scratch ~default:Aggregate.create
-
-let find_coded t ~cuboid ~key = Group_key.Tbl.find_opt t.cells.(cuboid) key
-let set_cell t ~cuboid ~key c = Group_key.Tbl.replace t.cells.(cuboid) key c
+let cells t cuboid = t.cells.(cuboid)
 
 let adopt t ~cuboid tbl =
-  if Group_key.Tbl.length t.cells.(cuboid) > 0 then
+  if Group_table.length t.cells.(cuboid) > 0 then
     invalid_arg "Cube_result.adopt: cuboid already holds cells";
+  if Group_table.words tbl <> t.layout.Group_key.words then
+    invalid_arg "Cube_result.adopt: key width differs from the layout";
   t.cells.(cuboid) <- tbl
 
-let iter_cuboid t cuboid f = Group_key.Tbl.iter f t.cells.(cuboid)
+let find_coded t ~cuboid ~key =
+  let tbl = t.cells.(cuboid) in
+  match Group_table.find_key tbl key with
+  | -1 -> None
+  | g -> Some (Group_table.cell tbl g)
 
-let cuboid_size t cuboid = Group_key.Tbl.length t.cells.(cuboid)
+let cuboid_size t cuboid = Group_table.length t.cells.(cuboid)
 
 let total_cells t =
-  Array.fold_left (fun acc tbl -> acc + Group_key.Tbl.length tbl) 0 t.cells
+  Array.fold_left (fun acc tbl -> acc + Group_table.length tbl) 0 t.cells
 
 (* --- values: export, pivot and tests -------------------------------------- *)
 
@@ -127,20 +123,18 @@ let pass w n shift =
     w.perm' <- p
   end
 
-let rec chunk_code layout key acc = function
-  | [] -> acc
-  | (axis, rank, offset) :: rest ->
-      chunk_code layout key
-        (acc lor (rank.(Group_key.id_at layout key ~axis) lsl offset))
-        rest
-
-(* Sort [perm.(0..n-1)], slots of [tbl], by one chunk of axes, each given
-   as (axis, rank, bit offset). *)
+(* Sort [perm.(0..n-1)], groups of [tbl], by one chunk of axes, each
+   given as (axis, rank, bit offset). *)
 let sort_chunk w layout tbl n chunk bits =
   let c = w.code and p = w.perm in
-  for j = 0 to n - 1 do
-    c.(j) <- chunk_code layout (Group_key.Tbl.key_at tbl p.(j)) 0 chunk
-  done;
+  Array.fill c 0 n 0;
+  List.iter
+    (fun (axis, rank, offset) ->
+      for j = 0 to n - 1 do
+        c.(j) <-
+          c.(j) lor (rank.(Group_table.id_at layout tbl p.(j) ~axis) lsl offset)
+      done)
+    chunk;
   let shift = ref 0 in
   while !shift < bits do
     pass w n !shift;
@@ -148,7 +142,7 @@ let sort_chunk w layout tbl n chunk bits =
   done
 
 (* Ranks are built lazily, once per axis, for every cuboid sorted through
-   the same [ordered t]. The sort moves slot numbers, never the keys or
+   the same [ordered t]. The sort moves group numbers, never the keys or
    cells themselves. *)
 let ordered t =
   let ranks = Array.map (fun d -> lazy (Group_key.rank d)) (dicts t) in
@@ -163,14 +157,10 @@ let ordered t =
   in
   fun cuboid f ->
     let tbl = t.cells.(cuboid) in
-    let n = Group_key.Tbl.length tbl in
+    let n = Group_table.length tbl in
     reserve w n;
-    let j = ref 0 in
-    for slot = 0 to Group_key.Tbl.slot_count tbl - 1 do
-      if Group_key.Tbl.used tbl slot then begin
-        w.perm.(!j) <- slot;
-        incr j
-      end
+    for g = 0 to n - 1 do
+      w.perm.(g) <- g
     done;
     if n > 1 then begin
       let states = states t cuboid in
@@ -193,19 +183,24 @@ let ordered t =
     end;
     let perm = w.perm in
     for i = 0 to n - 1 do
-      let slot = perm.(i) in
-      f i (Group_key.Tbl.key_at tbl slot) (Group_key.Tbl.value_at tbl slot)
+      f i perm.(i)
     done
 
 let cuboid_cells t cuboid =
-  let acc = ref [] in
-  ordered t cuboid (fun _ key c -> acc := (values t ~cuboid key, c) :: !acc);
+  let tbl = t.cells.(cuboid) and acc = ref [] in
+  ordered t cuboid (fun _ g ->
+      acc :=
+        (values t ~cuboid (Group_table.key tbl g), Group_table.cell tbl g)
+        :: !acc);
   List.rev !acc
 
+let iter_table f tbl =
+  for g = 0 to Group_table.length tbl - 1 do
+    f (Group_table.key tbl g) (Group_table.cell tbl g)
+  done
+
 let iter f t =
-  Array.iteri
-    (fun cuboid tbl -> Group_key.Tbl.iter (fun key c -> f ~cuboid ~key c) tbl)
-    t.cells
+  Array.iteri (fun cuboid -> iter_table (fun key c -> f ~cuboid ~key c)) t.cells
 
 let render parts = "(" ^ String.concat ", " parts ^ ")"
 
@@ -220,7 +215,7 @@ let first_difference ~func a b =
     Array.iteri
       (fun cuboid tbl ->
         if !found = None then begin
-          Group_key.Tbl.iter
+          iter_table
             (fun key ca ->
               if !found = None then begin
                 let parts = values a ~cuboid key in
@@ -240,7 +235,7 @@ let first_difference ~func a b =
                               (Aggregate.value func cb) )
               end)
             tbl;
-          Group_key.Tbl.iter
+          iter_table
             (fun key _ ->
               if !found = None then begin
                 let parts = values b ~cuboid key in
@@ -265,10 +260,11 @@ let pp ?(max_groups = 20) ~func ppf t =
            (Lattice.axes t.lattice)
            (Lattice.cuboid t.lattice cuboid))
         (cuboid_size t cuboid);
-      ordered cuboid (fun i key c ->
+      let tbl = t.cells.(cuboid) in
+      ordered cuboid (fun i g ->
           if i < max_groups then
             Format.fprintf ppf "  %s %a@."
-              (render (values t ~cuboid key))
-              (Aggregate.pp func) c
+              (render (values t ~cuboid (Group_table.key tbl g)))
+              (Aggregate.pp func) (Group_table.cell tbl g)
           else if i = max_groups then Format.fprintf ppf "  ...@."))
     (Lattice.by_degree t.lattice)

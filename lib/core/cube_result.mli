@@ -17,24 +17,17 @@ val layout : t -> Group_key.layout
 
 (** {1 Coded access — the algorithms' hot path} *)
 
-val cell : t -> cuboid:int -> key:Group_key.t -> Aggregate.cell
-(** Find-or-create the cell of a group. *)
+val cells : t -> int -> Group_table.t
+(** The cuboid's group table, which algorithms count into directly. Its
+    keys are under {!layout}. *)
 
-val cell_scratch : t -> cuboid:int -> Group_key.scratch -> Aggregate.cell
-(** Find-or-create keyed by a scratch: allocation-free when the group
-    already exists. *)
-
-val find_coded : t -> cuboid:int -> key:Group_key.t -> Aggregate.cell option
-
-val set_cell : t -> cuboid:int -> key:Group_key.t -> Aggregate.cell -> unit
-(** Install a cell wholesale (used by roll-up computation). *)
-
-val adopt : t -> cuboid:int -> Aggregate.cell Group_key.Tbl.t -> unit
+val adopt : t -> cuboid:int -> Group_table.t -> unit
 (** Make a finished counter table the cuboid's cells, without copying: the
     result owns the table from then on, and the caller must not touch it
-    again. Raises [Invalid_argument] if the cuboid already holds cells. *)
+    again. Raises [Invalid_argument] if the cuboid already holds cells or
+    the table's key width differs from the layout's. *)
 
-val iter_cuboid : t -> int -> (Group_key.t -> Aggregate.cell -> unit) -> unit
+val find_coded : t -> cuboid:int -> key:Group_key.t -> Aggregate.cell option
 
 val cuboid_size : t -> int -> int
 
@@ -48,22 +41,24 @@ val find : t -> cuboid:int -> key:string list -> Aggregate.cell option
     exist. Raises [Invalid_argument] when [key] does not hold one value per
     present axis. *)
 
-val ordered :
-  t -> int -> (int -> Group_key.t -> Aggregate.cell -> unit) -> unit
-(** [ordered t cuboid f] calls [f i key cell] on the cuboid's groups in
-    output order, [i] counting from 0 — component by component, by
+val ordered : t -> int -> (int -> int -> unit) -> unit
+(** [ordered t cuboid f] calls [f i g] on the cuboid's groups in output
+    order, [g] numbering the group in [cells t cuboid] and [i] counting
+    from 0 — component by component, by
     {!Group_key.compare_values}. The order comes from an integer LSD radix
     sort over per-axis {!Group_key.rank}s. Partially applied, [ordered t]
     ranks each axis dictionary at most once across all the cuboids it is
     then applied to; [f] must not call back into the same [ordered t] nor
-    add cells to [t]. *)
+    add cells to [t]. No key or cell is built: [f] reads ids and values
+    from the table. *)
 
 val cuboid_cells : t -> int -> (string list * Aggregate.cell) list
 (** {!ordered}, with each key as its values. *)
 
 val iter :
   (cuboid:int -> key:Group_key.t -> Aggregate.cell -> unit) -> t -> unit
-(** Every cell of every cuboid, in no particular order. *)
+(** Every cell of every cuboid, in no particular order, each key and cell
+    built fresh. *)
 
 val equal : func:Aggregate.func -> t -> t -> bool
 (** Same groups with the same aggregate values in every cuboid. Keys are

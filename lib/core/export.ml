@@ -29,9 +29,9 @@ let render_columns result render =
           render (Witness.Dict.value dict id)))
     (Witness.dicts (Cube_result.table result))
 
-(* The rendered grouping value of a present axis. *)
-let column result columns key ai =
-  columns.(ai).(Group_key.id_at (Cube_result.layout result) key ~axis:ai)
+(* The rendered grouping value of a present axis of group [g]. *)
+let column layout columns tbl g ai =
+  columns.(ai).(Group_table.id_at layout tbl g ~axis:ai)
 
 let rec add_digits buf n =
   if n >= 10 then add_digits buf (n / 10);
@@ -52,7 +52,8 @@ let add_number buf v =
   end
   else Buffer.add_string buf (Printf.sprintf "%g" v)
 
-let to_csv ~func buf result =
+(* The writers call [cut buf] after each cuboid's rows. *)
+let write_csv ~cut ~func buf result =
   let lattice = Cube_result.lattice result in
   let axes = Lattice.axes lattice in
   Buffer.add_string buf "cuboid,degree";
@@ -65,29 +66,44 @@ let to_csv ~func buf result =
   Buffer.add_string buf (Aggregate.func_to_string func);
   Buffer.add_char buf '\n';
   let ordered = Cube_result.ordered result in
+  let layout = Cube_result.layout result in
   let columns = render_columns result csv_quote in
   Array.iter
     (fun id ->
       let cuboid = Lattice.cuboid lattice id in
+      let tbl = Cube_result.cells result id in
       let prefix = Printf.sprintf "%d,%d" id (Lattice.degree lattice id) in
-      ordered id (fun _ key cell ->
+      ordered id (fun _ g ->
           Buffer.add_string buf prefix;
           for ai = 0 to Array.length cuboid - 1 do
             Buffer.add_char buf ',';
             Buffer.add_string buf
               (match cuboid.(ai) with
               | State.Removed -> "(ALL)"
-              | State.Present _ -> column result columns key ai)
+              | State.Present _ -> column layout columns tbl g ai)
           done;
           Buffer.add_char buf ',';
-          add_number buf (Aggregate.value func cell);
-          Buffer.add_char buf '\n'))
+          add_number buf (Group_table.value func tbl g);
+          Buffer.add_char buf '\n');
+      cut buf)
     (Lattice.by_degree lattice)
 
-let csv_string ~func result =
-  let buf = Buffer.create 4096 in
-  to_csv ~func buf result;
-  Buffer.contents buf
+(* An export as one string, assembled from a piece per cuboid: cutting the
+   buffer after each cuboid lets it grow only to the largest cuboid's
+   rows, and the string is built once at its exact size, so no doubling
+   leaves garbage the size of the whole answer behind. *)
+let export_string write ~func result =
+  let buf = Buffer.create 4096 and pieces = ref [] in
+  let cut buf =
+    pieces := Buffer.contents buf :: !pieces;
+    Buffer.clear buf
+  in
+  write ~cut ~func buf result;
+  cut buf;
+  String.concat "" (List.rev !pieces)
+
+let to_csv ~func buf result = write_csv ~cut:ignore ~func buf result
+let csv_string ~func result = export_string write_csv ~func result
 
 let json_escape buf s =
   String.iter
@@ -110,7 +126,7 @@ let json_quote s =
   Buffer.add_char buf '"';
   Buffer.contents buf
 
-let to_json ~func buf result =
+let write_json ~cut ~func buf result =
   let lattice = Cube_result.lattice result in
   let axes = Lattice.axes lattice in
   let add_string s =
@@ -120,6 +136,7 @@ let to_json ~func buf result =
   in
   Buffer.add_string buf "[";
   let ordered = Cube_result.ordered result in
+  let layout = Cube_result.layout result in
   let columns = render_columns result json_quote in
   let first_cuboid = ref true in
   Array.iter
@@ -127,6 +144,7 @@ let to_json ~func buf result =
       if not !first_cuboid then Buffer.add_string buf ",";
       first_cuboid := false;
       let cuboid = Lattice.cuboid lattice id in
+      let tbl = Cube_result.cells result id in
       Buffer.add_string buf "\n  {\"cuboid\": ";
       Buffer.add_string buf (string_of_int id);
       Buffer.add_string buf ", \"states\": [";
@@ -138,7 +156,7 @@ let to_json ~func buf result =
                (State.to_string axes.(i) state)))
         cuboid;
       Buffer.add_string buf "], \"groups\": [";
-      ordered id (fun i key cell ->
+      ordered id (fun i g ->
           if i > 0 then Buffer.add_string buf ", ";
           Buffer.add_string buf "{\"key\": [";
           let first_part = ref true in
@@ -149,18 +167,17 @@ let to_json ~func buf result =
               | State.Present _ ->
                   if not !first_part then Buffer.add_string buf ", ";
                   first_part := false;
-                  Buffer.add_string buf (column result columns key ai))
+                  Buffer.add_string buf (column layout columns tbl g ai))
             cuboid;
           Buffer.add_string buf "], \"value\": ";
-          let v = Aggregate.value func cell in
+          let v = Group_table.value func tbl g in
           if Float.is_nan v then Buffer.add_string buf "null"
           else add_number buf v;
           Buffer.add_string buf "}");
-      Buffer.add_string buf "]}")
+      Buffer.add_string buf "]}";
+      cut buf)
     (Lattice.by_degree lattice);
   Buffer.add_string buf "\n]\n"
 
-let json_string ~func result =
-  let buf = Buffer.create 4096 in
-  to_json ~func buf result;
-  Buffer.contents buf
+let to_json ~func buf result = write_json ~cut:ignore ~func buf result
+let json_string ~func result = export_string write_json ~func result

@@ -11,10 +11,13 @@
 
 (* --- cost model --------------------------------------------------------- *)
 
-(* One live counter: a Group_key.Tbl slot (two array entries), a boxed key
-   (Packed int or small Wide array) and an Aggregate.cell (4 mutable
-   fields + header). Measured with Obj.reachable_words this lands between
-   70 and 110 bytes depending on key width; 96 is the documented middle. *)
+(* One live counter: a group of a Group_table — its key words, the n,
+   total, low and high columns, the mark stamp and its share of the
+   lookup index. Measured with Obj.reachable_words (x86-64) over tables
+   of 100 to 200k groups, it lands between 59 and 108 bytes for one-word
+   keys and between 67 and 123 for two-word keys, depending on where the
+   table is between grows; 96 is the documented middle. Three-word keys
+   (layouts over 124 bits) take 75 to 139. *)
 let counter_cost = 96
 
 (* One sort-buffer record: the encoded record string (key + fact + measure,

@@ -3,19 +3,22 @@ module Witness = X3_pattern.Witness
 module Dict = Witness.Dict
 
 (* --- packed integer keys ------------------------------------------------ *)
-(* Per-axis dictionary ids packed into bit fields of one tagged int when the
-   widths fit, with an int-array fallback otherwise. An axis whose
-   dictionary holds [n] values needs [bits_for n] bits; fields of axes a
-   cuboid removes are zero, so projection to a coarser cuboid is a single
-   mask (packed) or entry-zeroing pass (wide). *)
+(* Per-axis dictionary ids packed into the bit fields of 62-bit int words.
+   An axis whose dictionary holds [n] values needs [bits_for n] bits;
+   fields are laid out in axis order, each in the current word when it
+   fits and in a fresh word otherwise, so no field straddles two words.
+   Fields of axes a cuboid removes are zero, so projection to a coarser
+   cuboid is a mask per word. *)
 
 type t = Packed of int | Wide of int array
 
 type layout = {
   widths : int array;  (** bits per axis *)
-  offsets : int array;  (** bit offset of each axis's field *)
+  word : int array;  (** key word of each axis's field *)
+  offsets : int array;  (** bit offset of each axis's field in its word *)
+  words : int;
   total_bits : int;
-  packed_fits : bool;  (** do all fields fit one OCaml int? *)
+  packed_fits : bool;  (** one word? *)
 }
 
 (* Bits to hold every id of a dictionary of [n] values (0 .. n-1). *)
@@ -24,159 +27,118 @@ let bits_for n =
   let rec go bits cap = if cap >= n then bits else go (bits + 1) (cap * 2) in
   go 0 1
 
-(* 62 rather than 63: keeps every packed key strictly below [max_int], so
-   the sign bit never flips and the sortable big-endian form stays
+(* 62 rather than 63: keeps every word strictly below [max_int], so the
+   sign bit never flips and the sortable big-endian form stays
    order-consistent. *)
-let packed_bit_budget = 62
+let word_bits = 62
 
 let layout_of_sizes sizes =
   let k = Array.length sizes in
   let widths = Array.map bits_for sizes in
-  let offsets = Array.make k 0 in
-  let total = ref 0 in
+  let word = Array.make k 0 and offsets = Array.make k 0 in
+  let current = ref 0 and used = ref 0 in
   for ai = 0 to k - 1 do
-    offsets.(ai) <- !total;
-    total := !total + widths.(ai)
+    if !used + widths.(ai) > word_bits then begin
+      incr current;
+      used := 0
+    end;
+    word.(ai) <- !current;
+    offsets.(ai) <- !used;
+    used := !used + widths.(ai)
   done;
-  {
-    widths;
-    offsets;
-    total_bits = !total;
-    packed_fits = !total <= packed_bit_budget;
-  }
+  let total_bits = Array.fold_left ( + ) 0 widths in
+  let words = !current + 1 in
+  { widths; word; offsets; words; total_bits; packed_fits = words = 1 }
 
 let layout_of_table table = layout_of_sizes (Witness.dict_sizes table)
-
-let axis_count layout = Array.length layout.widths
 
 let field_mask layout ai =
   ((1 lsl layout.widths.(ai)) - 1) lsl layout.offsets.(ai)
 
 (* --- scratch: the allocation-free row -> key path ----------------------- *)
 
-type scratch = {
-  s_layout : layout;
-  mutable s_packed : int;
-  s_wide : int array;  (** reused between loads; copied on freeze *)
-}
+type scratch = { s_layout : layout; s_words : int array }
 
 let make_scratch layout =
-  { s_layout = layout; s_packed = 0; s_wide = Array.make (axis_count layout) 0 }
+  { s_layout = layout; s_words = Array.make layout.words 0 }
+
+let words scratch = scratch.s_words
 
 let bad_row () = invalid_arg "Group_key.load: row does not qualify"
 
-let load scratch cuboid (row : Witness.row) =
-  let layout = scratch.s_layout in
+let[@inline] clear s =
+  for i = 0 to Array.length s.s_words - 1 do
+    s.s_words.(i) <- 0
+  done
+
+let[@inline] set_field s ai id =
+  if id < 0 then bad_row ();
+  let l = s.s_layout in
+  let wi = l.word.(ai) in
+  s.s_words.(wi) <- s.s_words.(wi) lor (id lsl l.offsets.(ai))
+
+let load s cuboid (row : Witness.row) =
+  clear s;
   let cells = row.Witness.cells in
-  if layout.packed_fits then begin
-    let k = Array.length cuboid in
-    let rec go ai acc =
-      if ai >= k then acc
-      else
-        match cuboid.(ai) with
-        | State.Removed -> go (ai + 1) acc
-        | State.Present _ ->
-            let id = cells.(ai).Witness.id in
-            if id < 0 then bad_row ();
-            go (ai + 1) (acc lor (id lsl layout.offsets.(ai)))
-    in
-    scratch.s_packed <- go 0 0
-  end
-  else begin
-    let wide = scratch.s_wide in
-    Array.iteri
-      (fun ai state ->
-        match state with
-        | State.Removed -> wide.(ai) <- 0
-        | State.Present _ ->
-            let id = cells.(ai).Witness.id in
-            if id < 0 then bad_row ();
-            wide.(ai) <- id)
-      cuboid
-  end
+  for ai = 0 to Array.length cuboid - 1 do
+    match cuboid.(ai) with
+    | State.Removed -> ()
+    | State.Present _ -> set_field s ai cells.(ai).Witness.id
+  done
 
 (* The columnar twin of [load]: ids come straight from the id columns. *)
-let load_cols scratch cuboid cols ~row =
-  let layout = scratch.s_layout in
-  if layout.packed_fits then begin
-    let k = Array.length cuboid in
-    let rec go ai acc =
-      if ai >= k then acc
-      else
-        match cuboid.(ai) with
-        | State.Removed -> go (ai + 1) acc
-        | State.Present _ ->
-            let id = Witness.Columnar.id cols ~axis:ai ~row in
-            if id < 0 then bad_row ();
-            go (ai + 1) (acc lor (id lsl layout.offsets.(ai)))
-    in
-    scratch.s_packed <- go 0 0
-  end
-  else begin
-    let wide = scratch.s_wide in
-    Array.iteri
-      (fun ai state ->
-        match state with
-        | State.Removed -> wide.(ai) <- 0
-        | State.Present _ ->
-            let id = Witness.Columnar.id cols ~axis:ai ~row in
-            if id < 0 then bad_row ();
-            wide.(ai) <- id)
-      cuboid
-  end
+let load_cols s cuboid cols ~row =
+  clear s;
+  for ai = 0 to Array.length cuboid - 1 do
+    match cuboid.(ai) with
+    | State.Removed -> ()
+    | State.Present _ -> set_field s ai (Witness.Columnar.id cols ~axis:ai ~row)
+  done
 
-let freeze scratch =
-  if scratch.s_layout.packed_fits then Packed scratch.s_packed
-  else Wide (Array.copy scratch.s_wide)
+let load_ids s cuboid ids =
+  clear s;
+  for ai = 0 to Array.length cuboid - 1 do
+    match cuboid.(ai) with
+    | State.Removed -> ()
+    | State.Present _ -> set_field s ai ids.(ai)
+  done
+
+let freeze s =
+  if s.s_layout.packed_fits then Packed s.s_words.(0)
+  else Wide (Array.copy s.s_words)
 
 (* --- building and inspecting keys directly ------------------------------ *)
 
 let of_axis_ids layout cuboid ids =
-  if layout.packed_fits then begin
-    let acc = ref 0 in
-    Array.iteri
-      (fun ai state ->
-        match state with
-        | State.Removed -> ()
-        | State.Present _ ->
-            if ids.(ai) < 0 then bad_row ();
-            acc := !acc lor (ids.(ai) lsl layout.offsets.(ai)))
-      cuboid;
-    Packed !acc
-  end
-  else
-    Wide
-      (Array.mapi
-         (fun ai state ->
-           match state with
-           | State.Removed -> 0
-           | State.Present _ ->
-               if ids.(ai) < 0 then bad_row ();
-               ids.(ai))
-         cuboid)
+  let s = make_scratch layout in
+  load_ids s cuboid ids;
+  freeze s
+
+let field layout word ~axis =
+  (word lsr layout.offsets.(axis)) land ((1 lsl layout.widths.(axis)) - 1)
+
+let key_word key i = match key with Packed p -> p | Wide w -> w.(i)
 
 let id_at layout key ~axis =
-  match key with
-  | Packed p -> (p lsr layout.offsets.(axis)) land ((1 lsl layout.widths.(axis)) - 1)
-  | Wide w -> w.(axis)
+  field layout (key_word key layout.word.(axis)) ~axis
+
+let word_masks layout cuboid =
+  let masks = Array.make layout.words 0 in
+  Array.iteri
+    (fun ai state ->
+      match state with
+      | State.Removed -> ()
+      | State.Present _ ->
+          let wi = layout.word.(ai) in
+          masks.(wi) <- masks.(wi) lor field_mask layout ai)
+    cuboid;
+  masks
 
 let project layout ~to_ key =
+  let masks = word_masks layout to_ in
   match key with
-  | Packed p ->
-      let mask = ref 0 in
-      Array.iteri
-        (fun ai state ->
-          match state with
-          | State.Removed -> ()
-          | State.Present _ -> mask := !mask lor field_mask layout ai)
-        to_;
-      Packed (p land !mask)
-  | Wide w ->
-      Wide
-        (Array.mapi
-           (fun ai v ->
-             match to_.(ai) with State.Removed -> 0 | State.Present _ -> v)
-           w)
+  | Packed p -> Packed (p land masks.(0))
+  | Wide w -> Wide (Array.mapi (fun i v -> v land masks.(i)) w)
 
 (* --- the dictionary boundary -------------------------------------------- *)
 
@@ -239,250 +201,31 @@ let rank dict =
   rank
 
 (* --- order-agnostic serialisation for external sort --------------------- *)
-(* Big-endian fixed-width bytes: [String.compare] over sortable forms is a
-   total order that groups equal keys — all the sort-based algorithm
-   needs. *)
+(* A tag byte (one word or several), then each word as 8 big-endian bytes:
+   [String.compare] over sortable forms is a total order that groups equal
+   keys — all the sort-based algorithm needs. *)
 
-let to_sortable key =
-  match key with
-  | Packed p ->
-      let b = Bytes.create 9 in
-      Bytes.set b 0 '\000';
-      for i = 0 to 7 do
-        Bytes.set b (1 + i) (Char.chr ((p lsr (8 * (7 - i))) land 0xFF))
-      done;
-      Bytes.unsafe_to_string b
-  | Wide w ->
-      let k = Array.length w in
-      let b = Bytes.create (1 + (4 * k)) in
-      Bytes.set b 0 '\001';
-      Array.iteri
-        (fun ai v ->
-          let base = 1 + (4 * ai) in
-          Bytes.set b base (Char.chr ((v lsr 24) land 0xFF));
-          Bytes.set b (base + 1) (Char.chr ((v lsr 16) land 0xFF));
-          Bytes.set b (base + 2) (Char.chr ((v lsr 8) land 0xFF));
-          Bytes.set b (base + 3) (Char.chr (v land 0xFF)))
-        w;
-      Bytes.unsafe_to_string b
+let scratch_sortable s =
+  let words = s.s_words in
+  let b = Bytes.create (1 + (8 * Array.length words)) in
+  Bytes.set b 0 (if s.s_layout.packed_fits then '\000' else '\001');
+  Array.iteri
+    (fun i v -> Bytes.set_int64_be b (1 + (8 * i)) (Int64.of_int v))
+    words;
+  Bytes.unsafe_to_string b
 
-let of_sortable layout s =
-  if String.length s = 0 then invalid_arg "Group_key.of_sortable: empty";
-  match s.[0] with
-  | '\000' ->
-      if String.length s <> 9 then
-        invalid_arg "Group_key.of_sortable: bad packed length";
-      let p = ref 0 in
-      for i = 1 to 8 do
-        p := (!p lsl 8) lor Char.code s.[i]
-      done;
-      Packed !p
-  | '\001' ->
-      let k = axis_count layout in
-      if String.length s <> 1 + (4 * k) then
-        invalid_arg "Group_key.of_sortable: bad wide length";
-      Wide
-        (Array.init k (fun ai ->
-             let base = 1 + (4 * ai) in
-             (Char.code s.[base] lsl 24)
-             lor (Char.code s.[base + 1] lsl 16)
-             lor (Char.code s.[base + 2] lsl 8)
-             lor Char.code s.[base + 3]))
-  | _ -> invalid_arg "Group_key.of_sortable: bad tag"
-
-(* --- key order, hashing ------------------------------------------------- *)
-
-let compare a b =
-  match (a, b) with
-  | Packed p, Packed q -> Int.compare p q
-  | Wide u, Wide v ->
-      let rec go i =
-        if i >= Array.length u then 0
-        else
-          let c = Int.compare u.(i) v.(i) in
-          if c <> 0 then c else go (i + 1)
-      in
-      go 0
-  | Packed _, Wide _ -> -1
-  | Wide _, Packed _ -> 1
+let load_sortable s str =
+  let l = s.s_layout in
+  if String.length str <> 1 + (8 * l.words) then
+    invalid_arg "Group_key.load_sortable: bad length";
+  if str.[0] <> if l.packed_fits then '\000' else '\001' then
+    invalid_arg "Group_key.load_sortable: bad tag";
+  for i = 0 to l.words - 1 do
+    s.s_words.(i) <- Int64.to_int (String.get_int64_be str (1 + (8 * i)))
+  done
 
 let equal a b =
   match (a, b) with
   | Packed p, Packed q -> p = q
-  | Wide u, Wide v ->
-      let n = Array.length u in
-      n = Array.length v
-      &&
-      let rec go i = i >= n || (u.(i) = v.(i) && go (i + 1)) in
-      go 0
+  | Wide u, Wide v -> u = v
   | _ -> false
-
-(* Splitmix-style finaliser: full avalanche, never negative. *)
-let mix x =
-  let x = x lxor (x lsr 31) in
-  let x = x * 0x2545F4914F6CDD1D in
-  let x = x lxor (x lsr 29) in
-  x land max_int
-
-let hash_wide w = Array.fold_left (fun acc v -> mix (acc lxor v)) 0x9E3779B9 w
-
-let hash = function Packed p -> mix p | Wide w -> hash_wide w
-
-let scratch_hash scratch =
-  if scratch.s_layout.packed_fits then mix scratch.s_packed
-  else hash_wide scratch.s_wide
-
-let scratch_equal scratch key =
-  match key with
-  | Packed p -> scratch.s_layout.packed_fits && p = scratch.s_packed
-  | Wide w ->
-      (not scratch.s_layout.packed_fits)
-      &&
-      let u = scratch.s_wide in
-      let rec go i = i >= Array.length w || (w.(i) = u.(i) && go (i + 1)) in
-      go 0
-
-(* --- specialised open-addressing table over keys ------------------------ *)
-(* Linear probing over a power-of-two slot array. Lookups can be keyed by a
-   [scratch] directly, so the hot row -> group path never allocates a key
-   for groups already seen. *)
-
-module Tbl = struct
-  type key = t
-  type 'a slot = Free | Used of { key : key; mutable value : 'a }
-  type 'a t = { mutable slots : 'a slot array; mutable size : int }
-
-  let create capacity =
-    let rec pow2 n = if n >= capacity then n else pow2 (2 * n) in
-    { slots = Array.make (pow2 8) Free; size = 0 }
-
-  let length t = t.size
-
-  let index_of_key slots key =
-    let mask = Array.length slots - 1 in
-    let rec probe i =
-      match slots.(i) with
-      | Free -> i
-      | Used u -> if equal u.key key then i else probe ((i + 1) land mask)
-    in
-    probe (hash key land mask)
-
-  let grow t =
-    let old = t.slots in
-    let slots = Array.make (2 * Array.length old) Free in
-    Array.iter
-      (function
-        | Free -> ()
-        | Used u as slot -> slots.(index_of_key slots u.key) <- slot)
-      old;
-    t.slots <- slots
-
-  let maybe_grow t =
-    if 4 * t.size > 3 * Array.length t.slots then grow t
-
-  let find_opt t key =
-    match t.slots.(index_of_key t.slots key) with
-    | Free -> None
-    | Used u -> Some u.value
-
-  let replace t key value =
-    match t.slots.(index_of_key t.slots key) with
-    | Used u -> u.value <- value
-    | Free ->
-        maybe_grow t;
-        let i = index_of_key t.slots key in
-        t.slots.(i) <- Used { key; value };
-        t.size <- t.size + 1
-
-  let index_of_scratch slots scratch =
-    let mask = Array.length slots - 1 in
-    let rec probe i =
-      match slots.(i) with
-      | Free -> i
-      | Used u -> if scratch_equal scratch u.key then i else probe ((i + 1) land mask)
-    in
-    probe (scratch_hash scratch land mask)
-
-  let find_scratch t scratch =
-    match t.slots.(index_of_scratch t.slots scratch) with
-    | Free -> None
-    | Used u -> Some u.value
-
-  let find_or_add t scratch ~default =
-    match t.slots.(index_of_scratch t.slots scratch) with
-    | Used u -> u.value
-    | Free ->
-        maybe_grow t;
-        let i = index_of_scratch t.slots scratch in
-        let value = default () in
-        t.slots.(i) <- Used { key = freeze scratch; value };
-        t.size <- t.size + 1;
-        value
-
-  let iter f t =
-    Array.iter (function Free -> () | Used u -> f u.key u.value) t.slots
-
-  let fold f t init =
-    Array.fold_left
-      (fun acc -> function Free -> acc | Used u -> f u.key u.value acc)
-      init t.slots
-
-  let slot_count t = Array.length t.slots
-  let used t slot = match t.slots.(slot) with Free -> false | Used _ -> true
-
-  let key_at t slot =
-    match t.slots.(slot) with
-    | Used u -> u.key
-    | Free -> invalid_arg "Group_key.Tbl.key_at: free slot"
-
-  let value_at t slot =
-    match t.slots.(slot) with
-    | Used u -> u.value
-    | Free -> invalid_arg "Group_key.Tbl.value_at: free slot"
-end
-
-(* --- generation-stamped membership set ---------------------------------- *)
-(* Per-fact-block deduplication: [reset] is a generation bump, so clearing
-   between the thousands of tiny blocks costs nothing. Stamped entries are
-   only a cache (after a bump every entry is stale), so the table must not
-   be allowed to accumulate every distinct key a long scan ever saw:
-   [reset] rebuilds it small once stale entries dominate the widest
-   generation observed. *)
-
-module Seen = struct
-  type t = {
-    mutable tbl : int ref Tbl.t;
-    mutable gen : int;
-    mutable live : int;  (** distinct keys added this generation *)
-    mutable high_water : int;  (** widest generation since last compaction *)
-  }
-
-  let compaction_slack = 8
-
-  let create () = { tbl = Tbl.create 16; gen = 1; live = 0; high_water = 0 }
-
-  let table_size t = Tbl.length t.tbl
-
-  let reset t =
-    if t.live > t.high_water then t.high_water <- t.live;
-    if Tbl.length t.tbl > compaction_slack * max 16 t.high_water then begin
-      (* Stale entries dominate: drop the cache rather than let the dedup
-         set grow with total distinct keys ever seen. The high-water mark
-         restarts so one early wide block cannot pin a large table
-         forever. *)
-      t.tbl <- Tbl.create 16;
-      t.high_water <- t.live;
-      t.gen <- 0
-    end;
-    t.live <- 0;
-    t.gen <- t.gen + 1
-
-  let add t scratch =
-    let stamp = Tbl.find_or_add t.tbl scratch ~default:(fun () -> ref 0) in
-    if !stamp = t.gen then false
-    else begin
-      stamp := t.gen;
-      t.live <- t.live + 1;
-      true
-    end
-end

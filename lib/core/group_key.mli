@@ -3,29 +3,32 @@
     A group within a cuboid is identified by the values of the cuboid's
     present axes, in axis order. Since the witness table dictionary-encodes
     its dimension values, a group key is the tuple of per-axis dictionary
-    ids — packed into the bit fields of a single tagged int when the axis
-    widths fit ({!layout.packed_fits}), or an int array otherwise. The
-    algorithms build keys through a reusable {!scratch} (allocation-free
-    for already-seen groups), hash them with the specialised {!Tbl}, and
-    re-key between cuboids with {!project} (a mask on the packed form).
+    ids, packed into the bit fields of {!layout.words} 62-bit int words:
+    one word when the axis widths fit ({!layout.packed_fits}), more
+    otherwise, with no field straddling two words. The algorithms build
+    keys through a reusable {!scratch} (allocation-free), count them in a
+    {!Group_table}, and re-key between cuboids with per-word masks
+    ({!word_masks}).
 
     Values leave the engine only through the dictionaries: export, pivot
     and views map a coded key back to one value per present axis
     ({!to_parts}, or {!id_at} and [Witness.Dict.value] per column), and
     list groups in {!compare_values} order through per-axis {!rank}s. *)
 
-(** {1 Packed integer keys — the algorithms' working form} *)
+(** {1 Packed integer keys} *)
 
 type t = Packed of int | Wide of int array
-(** [Packed] when every axis field fits the 62-bit budget; [Wide] holds one
-    id per axis (0 at removed axes). Keys of the same table and cuboid
-    always share a constructor, so mixed comparisons never arise in use. *)
+(** A boundary value: [Packed] when the layout has one word, [Wide]
+    holding the layout's words otherwise (zero fields at removed axes).
+    Keys of the same table and cuboid always share a constructor. *)
 
 type layout = {
   widths : int array;  (** bits per axis, from the dictionary sizes *)
-  offsets : int array;  (** bit offset of each axis's packed field *)
+  word : int array;  (** the key word holding each axis's field *)
+  offsets : int array;  (** bit offset of each axis's field in its word *)
+  words : int;  (** key words per group, at least 1 *)
   total_bits : int;
-  packed_fits : bool;
+  packed_fits : bool;  (** [words = 1] *)
 }
 
 val layout_of_sizes : int array -> layout
@@ -41,6 +44,10 @@ type scratch
 
 val make_scratch : layout -> scratch
 
+val words : scratch -> int array
+(** The scratch's live key words ([layout.words] of them), overwritten by
+    every load: what {!Group_table} lookups read. *)
+
 val load : scratch -> X3_lattice.Cuboid.t -> X3_pattern.Witness.row -> unit
 (** Assemble the key of [row] under the cuboid into the scratch. Raises
     [Invalid_argument] if a present axis is unbound (the row does not
@@ -55,22 +62,36 @@ val load_cols :
 (** {!load} over the columnar view: assemble the key of row index [row]
     from the id columns. Same qualification contract as {!load}. *)
 
+val load_ids : scratch -> X3_lattice.Cuboid.t -> int array -> unit
+(** Assemble the key from one id per axis (entries at removed axes are
+    ignored). Raises [Invalid_argument] on a negative id at a present
+    axis. *)
+
+val load_sortable : scratch -> string -> unit
+(** Decode a {!scratch_sortable} form into the scratch. Raises
+    [Invalid_argument] on malformed input. *)
+
 val freeze : scratch -> t
-(** An immutable key from the scratch's current contents (copies the id
-    array in the wide case). *)
+(** An immutable key from the scratch's current contents. *)
 
 (** {2 Keys without rows} *)
 
 val of_axis_ids : layout -> X3_lattice.Cuboid.t -> int array -> t
-(** Key from one id per axis (entries at removed axes are ignored). Raises
-    [Invalid_argument] on a negative id at a present axis. *)
+(** {!load_ids} into a fresh key. *)
+
+val field : layout -> int -> axis:int -> int
+(** [field layout word ~axis] is the dictionary id [axis] stores in
+    [word], which must be key word [layout.word.(axis)]. *)
 
 val id_at : layout -> t -> axis:int -> int
 (** The dictionary id stored for [axis] (0 for removed axes). *)
 
+val word_masks : layout -> X3_lattice.Cuboid.t -> int array
+(** Per key word, the bits of the fields the cuboid keeps: projecting a
+    key to the cuboid is an [land] per word. *)
+
 val project : layout -> to_:X3_lattice.Cuboid.t -> t -> t
-(** Re-key to a coarser cuboid: zero the fields of axes [to_] removes. A
-    bit mask on packed keys. *)
+(** Re-key to a coarser cuboid: zero the fields of axes [to_] removes. *)
 
 (** {2 The dictionary boundary} *)
 
@@ -106,81 +127,9 @@ val rank : X3_pattern.Witness.Dict.t -> int array
 
 (** {2 Serialisation for the external sort} *)
 
-val to_sortable : t -> string
-(** Fixed-width big-endian form: [String.compare] over sortable forms is a
-    total order grouping equal keys — what the sort-based algorithm
-    needs. *)
+val scratch_sortable : scratch -> string
+(** The scratch's current key as a tag byte, then each key word as 8
+    big-endian bytes: [String.compare] over sortable forms is a total
+    order grouping equal keys — what the sort-based algorithm needs. *)
 
-val of_sortable : layout -> string -> t
-(** Raises [Invalid_argument] on malformed input. *)
-
-(** {2 Order and hashing} *)
-
-val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
-
-(** {1 Specialised hash table over coded keys}
-
-    Open addressing with linear probing over a power-of-two slot array.
-    Lookups can be keyed by a {!scratch} directly, so the hot row → group
-    path allocates nothing for groups already present. *)
-
-module Tbl : sig
-  type key = t
-  type 'a t
-
-  val create : int -> 'a t
-  val length : 'a t -> int
-  val find_opt : 'a t -> key -> 'a option
-  val replace : 'a t -> key -> 'a -> unit
-
-  val find_scratch : 'a t -> scratch -> 'a option
-
-  val find_or_add : 'a t -> scratch -> default:(unit -> 'a) -> 'a
-  (** The value under the scratch's key, inserting [default ()] (and
-      freezing the scratch) on first sight. *)
-
-  val iter : (key -> 'a -> unit) -> 'a t -> unit
-  val fold : (key -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
-
-  (** {2 Slots}
-
-      A binding's slot is a handle on it that holds until the table next
-      grows: what an indirect sort of the bindings can carry in an int
-      array. *)
-
-  val slot_count : 'a t -> int
-  (** Slots run over [0 .. slot_count t - 1]. *)
-
-  val used : 'a t -> int -> bool
-  (** Does the slot hold a binding? *)
-
-  val key_at : 'a t -> int -> key
-  val value_at : 'a t -> int -> 'a
-  (** The binding in a used slot; [Invalid_argument] on a free one. *)
-end
-
-(** {1 Generation-stamped membership set}
-
-    Per-fact-block deduplication: {!Seen.reset} is a generation bump, so
-    clearing between thousands of tiny blocks costs nothing. Entries from
-    past generations are a reuse cache, not members; {!Seen.reset} compacts
-    the table once stale entries dominate, so the set's footprint tracks
-    the widest single generation rather than every distinct key a long
-    scan ever produced. *)
-
-module Seen : sig
-  type t
-
-  val create : unit -> t
-  val reset : t -> unit
-
-  val add : t -> scratch -> bool
-  (** [true] iff the scratch's key was not yet a member this generation;
-      always marks it. *)
-
-  val table_size : t -> int
-  (** Entries currently cached (all generations) — what compaction
-      bounds. *)
-end

@@ -7,18 +7,19 @@ module Int_set = Set.Make (Int)
 
 (* Groups are kept under coded keys relative to the source table's
    dictionaries; the value-keyed accessors translate through them, like
-   Cube_result. *)
+   Cube_result. A group's fact set is all it holds: its cell is computed
+   from the set when needed. *)
 type t = {
   cuboid_id : int;
   lattice : Lattice.t;
   layout : Group_key.layout;
   dicts : Witness.Dict.t array;
   measure : int -> float;
-  groups : Int_set.t ref Group_key.Tbl.t;
+  groups : (Group_key.t, Int_set.t ref) Hashtbl.t;
 }
 
 let cuboid_id t = t.cuboid_id
-let group_count t = Group_key.Tbl.length t.groups
+let group_count t = Hashtbl.length t.groups
 
 let states t = Lattice.cuboid t.lattice t.cuboid_id
 
@@ -26,24 +27,25 @@ let fact_items t ~key =
   match Group_key.of_parts t.layout ~dicts:t.dicts (states t) key with
   | None -> []
   | Some coded -> (
-      match Group_key.Tbl.find_opt t.groups coded with
+      match Hashtbl.find_opt t.groups coded with
       | Some facts -> Int_set.elements !facts
       | None -> [])
 
+let add_fact groups key fact =
+  match Hashtbl.find_opt groups key with
+  | Some facts -> facts := Int_set.add fact !facts
+  | None -> Hashtbl.replace groups key (ref (Int_set.singleton fact))
+
 let materialize (ctx : Context.t) ~cuboid =
   let c = Lattice.cuboid ctx.lattice cuboid in
-  let groups = Group_key.Tbl.create 256 in
+  let groups = Hashtbl.create 256 in
   let scratch = Group_key.make_scratch ctx.layout in
   Context.scan ctx (fun row ->
       if Context.row_represents c row then begin
         Group_key.load scratch c row;
         ctx.instr.Instrument.keys_built <-
           ctx.instr.Instrument.keys_built + 1;
-        let facts =
-          Group_key.Tbl.find_or_add groups scratch ~default:(fun () ->
-              ref Int_set.empty)
-        in
-        facts := Int_set.add row.Witness.fact !facts
+        add_fact groups (Group_key.freeze scratch) row.Witness.fact
       end);
   {
     cuboid_id = cuboid;
@@ -70,25 +72,21 @@ let apply_rows (ctx : Context.t) t rows =
         Group_key.load scratch c row;
         ctx.Context.instr.Instrument.keys_built <-
           ctx.Context.instr.Instrument.keys_built + 1;
-        let facts =
-          Group_key.Tbl.find_or_add t.groups scratch ~default:(fun () ->
-              ref Int_set.empty)
-        in
-        facts := Int_set.add row.Witness.fact !facts;
+        add_fact t.groups (Group_key.freeze scratch) row.Witness.fact;
         incr touched
       end)
     rows;
   !touched
 
 (* Estimated resident bytes, in the spirit of the Governor cost model:
-   per group one Tbl slot + boxed key + the ref cell (~96 bytes, like
+   per group one bucket + boxed key + the ref cell (~96 bytes, like
    counter_cost), plus one balanced-set node per fact id (4 fields +
    header = 5 words). The fixed tail covers the record itself. *)
 let group_cost = 96
 let fact_cost = 40
 
 let approx_bytes t =
-  Group_key.Tbl.fold
+  Hashtbl.fold
     (fun _ facts acc -> acc + group_cost + (fact_cost * Int_set.cardinal !facts))
     t.groups 128
 
@@ -100,7 +98,7 @@ let cell_of_facts t facts =
 let values t key = Group_key.to_parts t.layout ~dicts:t.dicts (states t) key
 
 let cells t =
-  Group_key.Tbl.fold
+  Hashtbl.fold
     (fun key facts acc -> (values t key, cell_of_facts t !facts) :: acc)
     t.groups []
   |> List.sort (fun (a, _) (b, _) ->
@@ -108,16 +106,16 @@ let cells t =
 
 let rollup_unchecked (ctx : Context.t) t ~coarser =
   let coarse = Lattice.cuboid ctx.lattice coarser in
-  let groups = Group_key.Tbl.create 256 in
-  Group_key.Tbl.iter
+  let groups = Hashtbl.create 256 in
+  Hashtbl.iter
     (fun key facts ->
       let key' = Group_key.project t.layout ~to_:coarse key in
-      match Group_key.Tbl.find_opt groups key' with
+      match Hashtbl.find_opt groups key' with
       | Some merged ->
           (* The fact sets make the merge duplicate-safe: a fact present in
              two finer groups counts once here. *)
           merged := Int_set.union !merged !facts
-      | None -> Group_key.Tbl.replace groups key' (ref !facts))
+      | None -> Hashtbl.replace groups key' (ref !facts))
     t.groups;
   { t with cuboid_id = coarser; groups }
 
@@ -195,9 +193,9 @@ let to_records t =
   let header = Buffer.create 9 in
   Buffer.add_char header 'M';
   add_u32 header t.cuboid_id;
-  add_u32 header (Group_key.Tbl.length t.groups);
+  add_u32 header (Hashtbl.length t.groups);
   let records =
-    Group_key.Tbl.fold
+    Hashtbl.fold
       (fun key facts acc ->
         let buf = Buffer.create 64 in
         Buffer.add_char buf 'K';
@@ -274,10 +272,10 @@ let of_records (ctx : Context.t) records =
               0 cuboid
           in
           let dicts = Witness.dicts ctx.table in
-          let groups = Group_key.Tbl.create (max 16 expected) in
+          let groups = Hashtbl.create (max 16 expected) in
           let rec go = function
             | [] ->
-                if Group_key.Tbl.length groups <> expected then
+                if Hashtbl.length groups <> expected then
                   Error "view snapshot: group count mismatch"
                 else
                   Ok
@@ -301,7 +299,7 @@ let of_records (ctx : Context.t) records =
                               to this witness table"
                              (String.concat ", " key))
                     | Some coded ->
-                        Group_key.Tbl.replace groups coded (ref facts);
+                        Hashtbl.replace groups coded (ref facts);
                         go rest))
           in
           go rest
@@ -316,14 +314,20 @@ let load (ctx : Context.t) store =
    dictionaries grew in between. *)
 let to_result t result =
   let cuboid = states t in
-  let layout = Cube_result.layout result in
+  let tbl = Cube_result.cells result t.cuboid_id in
+  let scratch = Group_key.make_scratch (Cube_result.layout result) in
   let ids = Array.make (Array.length cuboid) 0 in
-  Group_key.Tbl.iter
+  let measures = [| 0. |] in
+  Hashtbl.iter
     (fun key facts ->
       Array.iteri
         (fun axis _ -> ids.(axis) <- Group_key.id_at t.layout key ~axis)
         ids;
-      Cube_result.set_cell result ~cuboid:t.cuboid_id
-        ~key:(Group_key.of_axis_ids layout cuboid ids)
-        (cell_of_facts t !facts))
+      Group_key.load_ids scratch cuboid ids;
+      let g = Group_table.find_or_add tbl (Group_key.words scratch) in
+      Int_set.iter
+        (fun fact ->
+          measures.(0) <- t.measure fact;
+          Group_table.add tbl g measures 0)
+        !facts)
     t.groups

@@ -6,8 +6,8 @@ module Columnar = X3_pattern.Witness.Columnar
    strategy per cuboid comes from [Radix.plan] — a pure function of
    (layout, cuboid, radix_bits), so the strategy counters are identical at
    any worker count. Dedup marks are fact-block indices: a fact's rows are
-   contiguous, so a per-slot stamp removes within-fact duplicates exactly
-   as the per-block [Group_key.Seen] did. *)
+   contiguous, so a per-group stamp removes within-fact duplicates
+   exactly. *)
 
 let note_strategies (instr : Instrument.t) plans =
   Array.iter
@@ -56,12 +56,9 @@ let partitioned_cuboid (ctx : Context.t) instr meter result cols bm ~cid p =
           end
           else -1)
         ~fact:(fun r -> Columnar.block_of_row cols r)
-        ~measure:(fun r -> bm.(Columnar.block_of_row cols r))
-        ~dedup:true
-        ~emit:(fun compact cell ->
-          Cube_result.set_cell result ~cuboid:cid
-            ~key:(Radix.key_of_compact p ctx.Context.layout compact)
-            cell))
+        ~block:(fun r -> Columnar.block_of_row cols r)
+        ~measures:bm ~dedup:true
+        (Cube_result.cells result cid))
 
 let compute_sequential (ctx : Context.t) =
   let result = Cube_result.create ~table:ctx.table ctx.lattice in
@@ -95,7 +92,7 @@ let compute_sequential (ctx : Context.t) =
     in
     note_strategies instr plans;
     let scratch = Group_key.make_scratch ctx.layout in
-    let seen = Group_key.Seen.create () in
+    let words = Group_key.words scratch in
     let meter = { ctx; live = 0 } in
     X3_obs.Trace.with_span "naive.aggregate" (fun () ->
         Array.iteri
@@ -104,25 +101,20 @@ let compute_sequential (ctx : Context.t) =
             let p = plans.(i) in
             (match p.Radix.p_strategy with
             | Radix.Hash ->
-                (* Block-major with per-block key dedup — the original
+                (* Row by row with per-block key dedup — the original
                    NAIVE inner loop, reading the columns. *)
-                let cur_block = ref (-1) in
+                let tbl = Cube_result.cells result ids.(i) in
                 for r = 0 to rows - 1 do
                   Context.checkpoint ctx;
-                  let b = Columnar.block_of_row cols r in
-                  if b <> !cur_block then begin
-                    cur_block := b;
-                    Group_key.Seen.reset seen
-                  end;
                   if Context.cols_represents cuboid cols ~row:r then begin
                     Group_key.load_cols scratch cuboid cols ~row:r;
                     instr.Instrument.keys_built <-
                       instr.Instrument.keys_built + 1;
-                    if Group_key.Seen.add seen scratch then
-                      Aggregate.add
-                        (Cube_result.cell_scratch result ~cuboid:ids.(i)
-                           scratch)
-                        bm.(b)
+                    let b = Columnar.block_of_row cols r in
+                    ignore
+                      (Group_table.add_marked tbl
+                         (Group_table.find_or_add tbl words)
+                         ~mark:b bm b)
                   end
                 done
             | Radix.Direct ->
@@ -140,14 +132,10 @@ let compute_sequential (ctx : Context.t) =
                         instr.Instrument.keys_built <-
                           instr.Instrument.keys_built + 1;
                         let b = Columnar.block_of_row cols r in
-                        ignore (Radix.acc_add acc ~slot:k ~mark:b bm.(b))
+                        ignore (Radix.acc_add acc ~slot:k ~mark:b bm b)
                       end
                     done;
-                    Radix.acc_flush acc ~f:(fun compact cell ->
-                        Cube_result.set_cell result ~cuboid:ids.(i)
-                          ~key:
-                            (Radix.key_of_compact p ctx.Context.layout compact)
-                          cell))
+                    Radix.acc_flush p acc (Cube_result.cells result ids.(i)))
             | Radix.Partitioned ->
                 partitioned_cuboid ctx instr meter result cols bm
                   ~cid:ids.(i) p);
@@ -160,17 +148,16 @@ let compute_sequential (ctx : Context.t) =
    per-block dedup means no group-key state crosses a block boundary, so
    any contiguous split of the block sequence aggregates independently.
    Direct-strategy cuboids get one private slot array per worker (cheap:
-   ≤ 2^12 slots each) merged in worker order; hash cuboids keep the
-   partial-table merge; partitioned cuboids run on the calling domain
+   ≤ 2^12 slots each) merged in worker order; hash cuboids merge private
+   group tables in worker order; partitioned cuboids run on the calling domain
    after the fan-out — their scatter does not decompose into block tasks.
    The columns themselves are unboxed and immutable, so workers share
    them without snapshotting. *)
 
 type worker = {
   scratch : Group_key.scratch;
-  seen : Group_key.Seen.t;
   instr : Instrument.t;
-  partials : Aggregate.cell Group_key.Tbl.t array;  (* one per hash cuboid *)
+  partials : Group_table.t array;  (* one per hash cuboid *)
   accs : Radix.acc array;  (* one per direct cuboid *)
 }
 
@@ -220,11 +207,11 @@ let compute_parallel (ctx : Context.t) =
               ~init:(fun _ ->
                 {
                   scratch = Group_key.make_scratch ctx.layout;
-                  seen = Group_key.Seen.create ();
                   instr = Instrument.create ();
                   partials =
                     Array.map
-                      (fun _ -> Group_key.Tbl.create 256)
+                      (fun _ ->
+                        Group_table.create ~words:ctx.layout.Group_key.words)
                       hash_is;
                   accs =
                     Array.map (fun i -> Radix.acc_create plans.(i)) direct_is;
@@ -232,21 +219,19 @@ let compute_parallel (ctx : Context.t) =
               ~body:(fun w b ->
                 let lo = Columnar.block_lo cols b
                 and hi = Columnar.block_hi cols b in
-                let m = bm.(b) in
+                let words = Group_key.words w.scratch in
                 Array.iteri
                   (fun j i ->
-                    let cuboid = cuboids.(i) in
-                    Group_key.Seen.reset w.seen;
+                    let cuboid = cuboids.(i) and tbl = w.partials.(j) in
                     for r = lo to hi do
                       if Context.cols_represents cuboid cols ~row:r then begin
                         Group_key.load_cols w.scratch cuboid cols ~row:r;
                         w.instr.Instrument.keys_built <-
                           w.instr.Instrument.keys_built + 1;
-                        if Group_key.Seen.add w.seen w.scratch then
-                          Aggregate.add
-                            (Group_key.Tbl.find_or_add w.partials.(j)
-                               w.scratch ~default:Aggregate.create)
-                            m
+                        ignore
+                          (Group_table.add_marked tbl
+                             (Group_table.find_or_add tbl words)
+                             ~mark:b bm b)
                       end
                     done)
                   hash_is;
@@ -258,7 +243,7 @@ let compute_parallel (ctx : Context.t) =
                       if k >= 0 && Radix.first_on_removed cur r then begin
                         w.instr.Instrument.keys_built <-
                           w.instr.Instrument.keys_built + 1;
-                        ignore (Radix.acc_add w.accs.(j) ~slot:k ~mark:b m)
+                        ignore (Radix.acc_add w.accs.(j) ~slot:k ~mark:b bm b)
                       end
                     done)
                   direct_is))
@@ -278,19 +263,16 @@ let compute_parallel (ctx : Context.t) =
             if governed then begin
               let cells =
                 Array.fold_left
-                  (fun acc w -> acc + Group_key.Tbl.length w.partials.(j))
+                  (fun acc w -> acc + Group_table.length w.partials.(j))
                   0 states
               in
               Context.reserve ctx (cells * Governor.counter_cost)
             end;
             Array.iter
               (fun w ->
-                Group_key.Tbl.iter
-                  (fun key cell ->
-                    Aggregate.merge
-                      ~into:(Cube_result.cell result ~cuboid:ids.(i) ~key)
-                      cell)
-                  w.partials.(j))
+                Group_table.merge_into
+                  (Cube_result.cells result ids.(i))
+                  ~src:w.partials.(j))
               states)
           hash_is;
         Array.iteri
@@ -306,14 +288,7 @@ let compute_parallel (ctx : Context.t) =
             end;
             Array.iter
               (fun w ->
-                Radix.acc_flush w.accs.(j) ~f:(fun compact cell ->
-                    Aggregate.merge
-                      ~into:
-                        (Cube_result.cell result ~cuboid:ids.(i)
-                           ~key:
-                             (Radix.key_of_compact p ctx.Context.layout
-                                compact))
-                      cell))
+                Radix.acc_flush p w.accs.(j) (Cube_result.cells result ids.(i)))
               states)
           direct_is);
     (* Partitioned cuboids aggregate on this domain, exactly as the

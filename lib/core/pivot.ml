@@ -60,29 +60,32 @@ let make ~func ~row_axis ?(row_state = 0) ~col_axis ?(col_state = 0) result =
   let marginal id axis =
     let dict = Witness.dict table axis in
     let pos = Array.make (Witness.Dict.size dict) (-1) in
-    let n = Cube_result.cuboid_size result id in
+    let tbl = Cube_result.cells result id in
+    let n = Group_table.length tbl in
     let labels = Array.make n "" and totals = Array.make n None in
-    ordered id (fun i key cell ->
-        let v = Group_key.id_at layout key ~axis in
+    ordered id (fun i g ->
+        let v = Group_table.id_at layout tbl g ~axis in
         pos.(v) <- i;
         labels.(i) <- Witness.Dict.value dict v;
-        totals.(i) <- Some (Aggregate.value func cell));
+        totals.(i) <- Some (Group_table.value func tbl g));
     (Array.to_list labels, pos, totals)
   in
   let row_labels, row_pos, row_totals = marginal row_id row_axis in
   let col_labels, col_pos, col_totals = marginal col_id col_axis in
-  let label_at pos key ~axis =
-    match pos.(Group_key.id_at layout key ~axis) with
+  let body_tbl = Cube_result.cells result body_id in
+  let label_at pos g ~axis =
+    match pos.(Group_table.id_at layout body_tbl g ~axis) with
     | -1 -> invalid_arg "Pivot: body value missing from its marginal"
     | i -> i
   in
   let body =
     Array.make_matrix (List.length row_labels) (List.length col_labels) None
   in
-  Cube_result.iter_cuboid result body_id (fun key cell ->
-      let r = label_at row_pos key ~axis:row_axis
-      and c = label_at col_pos key ~axis:col_axis in
-      body.(r).(c) <- Some (Aggregate.value func cell));
+  for g = 0 to Group_table.length body_tbl - 1 do
+    let r = label_at row_pos g ~axis:row_axis
+    and c = label_at col_pos g ~axis:col_axis in
+    body.(r).(c) <- Some (Group_table.value func body_tbl g)
+  done;
   let grand_total =
     Option.map (Aggregate.value func)
       (Cube_result.find result ~cuboid:all_id ~key:[])

@@ -11,7 +11,10 @@
                     the key's high bits, then per-partition dense
                     aggregation over the low bits with generation stamps;
    - [Hash]         the domain exceeds [radix_bits] (or keys do not pack):
-                    fall back to the [Group_key.Tbl] path.
+                    fall back to the [Group_table] path.
+
+   Both radix tiers flush into a [Group_table], re-spreading each compact
+   key onto the layout's own offsets.
 
    The choice is a pure function of (layout, cuboid, radix_bits), so a
    run's strategies are identical at any worker count. *)
@@ -38,6 +41,7 @@ type plan = {
   p_masks : int array;  (** validity-bit mask per present axis *)
   p_shifts : int array;  (** compact bit offset per present axis *)
   p_widths : int array;
+  p_offsets : int array;  (** layout offset per present axis *)
   p_bits : int;  (** compact key width *)
   p_low_bits : int;  (** slot-array bits ([p_bits] when [Direct]) *)
   p_strategy : strategy;
@@ -76,22 +80,22 @@ let plan ~(layout : Group_key.layout) ~radix_bits cuboid =
     p_masks = masks;
     p_shifts = shifts;
     p_widths = widths;
+    p_offsets =
+      Array.map (fun ai -> layout.Group_key.offsets.(ai)) present_axes;
     p_bits = bits;
     p_low_bits = low_bits;
     p_strategy = strategy;
   }
 
-(* Reconstruct the per-axis ids of a compact key and build the canonical
-   [Group_key.t] (which uses the layout's own offsets, not the compact
-   ones). *)
-let key_of_compact p (layout : Group_key.layout) compact =
-  let k = Array.length p.p_cuboid in
-  let ids = Array.make k 0 in
-  Array.iteri
-    (fun i ai ->
-      ids.(ai) <- (compact lsr p.p_shifts.(i)) land ((1 lsl p.p_widths.(i)) - 1))
-    p.p_present;
-  Group_key.of_axis_ids layout p.p_cuboid ids
+(* The one-word group key of a compact key: each compact field moved to
+   the layout's own offset. Radix plans only exist for one-word layouts. *)
+let word_of_compact p compact =
+  let word = ref 0 in
+  for i = 0 to Array.length p.p_present - 1 do
+    let id = (compact lsr p.p_shifts.(i)) land ((1 lsl p.p_widths.(i)) - 1) in
+    word := !word lor (id lsl p.p_offsets.(i))
+  done;
+  !word
 
 (* --- cursors: the per-row qualification + compact-key path --------------- *)
 
@@ -124,28 +128,36 @@ let cursor p cols =
    [Topdown.row_qualifies] + [Group_key.load]. *)
 let key cur row =
   let n = Array.length cur.u_ids in
-  let rec go i acc =
-    if i >= n then acc
-    else
-      let id = Int32.to_int (Bigarray.Array1.unsafe_get cur.u_ids.(i) row) in
-      if id < 0 then -1
-      else if
-        Bigarray.Array1.unsafe_get cur.u_tags.(i) row land cur.u_masks.(i) = 0
-      then -1
-      else go (i + 1) (acc lor (id lsl cur.u_shifts.(i)))
-  in
-  go 0 0
+  let acc = ref 0 and i = ref 0 in
+  while !i < n do
+    let id = Int32.to_int (Bigarray.Array1.unsafe_get cur.u_ids.(!i) row) in
+    if
+      id < 0
+      || Bigarray.Array1.unsafe_get cur.u_tags.(!i) row land cur.u_masks.(!i)
+         = 0
+    then begin
+      acc := -1;
+      i := n
+    end
+    else begin
+      acc := !acc lor (id lsl cur.u_shifts.(!i));
+      incr i
+    end
+  done;
+  !acc
 
 (* Does [row] hold the fact's first binding on every removed axis — the
    representative half of [Context.row_represents]. *)
 let first_on_removed cur row =
   let n = Array.length cur.u_removed_tags in
-  let rec go i =
-    i >= n
-    || Bigarray.Array1.unsafe_get cur.u_removed_tags.(i) row land 0x80 <> 0
-       && go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while
+    !i < n
+    && Bigarray.Array1.unsafe_get cur.u_removed_tags.(!i) row land 0x80 <> 0
+  do
+    incr i
+  done;
+  !i >= n
 
 (* --- direct accumulator -------------------------------------------------- *)
 (* Unboxed parallel arrays, one slot per compact key. [mark] carries the
@@ -182,7 +194,8 @@ let acc_create p =
 
 let acc_occupied a = a.a_occupied
 
-let[@inline] acc_bump a slot m =
+let[@inline] acc_bump a slot ms i =
+  let m = ms.(i) in
   let fresh = a.a_n.(slot) = 0 in
   a.a_n.(slot) <- a.a_n.(slot) + 1;
   a.a_total.(slot) <- a.a_total.(slot) +. m;
@@ -194,27 +207,23 @@ let[@inline] acc_bump a slot m =
 (* Deduplicated add: at most one contribution per (mark, slot). Returns
    [true] when the slot became occupied — the live-counter signal COUNTER's
    eviction accounting needs. *)
-let acc_add a ~slot ~mark m =
+let acc_add a ~slot ~mark ms i =
   if a.a_mark.(slot) = mark then false
   else begin
     a.a_mark.(slot) <- mark;
-    acc_bump a slot m
+    acc_bump a slot ms i
   end
 
-let acc_add_raw a ~slot m = acc_bump a slot m
+let acc_add_raw a ~slot ms i = acc_bump a slot ms i
 
-(* Ascending slot order; empty slots skipped. The cell is freshly
-   allocated — callers install it ([Cube_result.set_cell]) or merge it. *)
-let acc_flush a ~f =
+(* Ascending slot order; empty slots skipped. Each slot's columns merge
+   into the group of its key, which a fresh table first inserts. *)
+let acc_flush p a tbl =
   for slot = 0 to a.a_slots - 1 do
-    if a.a_n.(slot) > 0 then begin
-      let cell = Aggregate.create () in
-      cell.Aggregate.n <- a.a_n.(slot);
-      cell.Aggregate.total <- a.a_total.(slot);
-      cell.Aggregate.low <- a.a_low.(slot);
-      cell.Aggregate.high <- a.a_high.(slot);
-      f slot cell
-    end
+    if a.a_n.(slot) > 0 then
+      Group_table.merge_columns tbl
+        (Group_table.find_or_add_word tbl (word_of_compact p slot))
+        ~n:a.a_n ~total:a.a_total ~low:a.a_low ~high:a.a_high slot
   done
 
 (* --- partitioned grouping ------------------------------------------------ *)
@@ -231,7 +240,7 @@ let partitioned_bytes p ~rows =
   + ((slot_cost + 16) * (1 lsl p.p_low_bits)) (* slots + gen + mark *)
   + 512
 
-let partitioned p ~rows ~key ~fact ~measure ~dedup ~emit =
+let partitioned p ~rows ~key ~fact ~block ~measures ~dedup tbl =
   let low_bits = p.p_low_bits in
   let low_mask = (1 lsl low_bits) - 1 in
   let parts = 1 lsl (p.p_bits - low_bits) in
@@ -282,7 +291,7 @@ let partitioned p ~rows ~key ~fact ~measure ~dedup ~emit =
         let dup = dedup && mark.(slot) = fact r in
         if not dup then begin
           mark.(slot) <- fact r;
-          let m = measure r in
+          let m = measures.(block r) in
           n.(slot) <- n.(slot) + 1;
           total_.(slot) <- total_.(slot) +. m;
           if m < low.(slot) then low.(slot) <- m;
@@ -290,14 +299,11 @@ let partitioned p ~rows ~key ~fact ~measure ~dedup ~emit =
         end
       done;
       for slot = 0 to slots - 1 do
-        if gen.(slot) = pt && n.(slot) > 0 then begin
-          let cell = Aggregate.create () in
-          cell.Aggregate.n <- n.(slot);
-          cell.Aggregate.total <- total_.(slot);
-          cell.Aggregate.low <- low.(slot);
-          cell.Aggregate.high <- high.(slot);
-          emit ((pt lsl low_bits) lor slot) cell
-        end
+        if gen.(slot) = pt && n.(slot) > 0 then
+          Group_table.merge_columns tbl
+            (Group_table.find_or_add_word tbl
+               (word_of_compact p ((pt lsl low_bits) lor slot)))
+            ~n ~total:total_ ~low ~high slot
       done
     end
   done

@@ -6,7 +6,8 @@
     when it is moderate, rows are radix-partitioned on the key's high
     bits and each partition aggregates densely; beyond [radix_bits] (or
     when keys do not pack into one int) the algorithms fall back to the
-    {!Group_key.Tbl} hash path.
+    {!Group_table} hash path. Both radix tiers flush into a
+    {!Group_table}.
 
     Strategy selection is a pure function of (layout, cuboid,
     radix_bits) — never of budgets or worker counts — so a run's
@@ -33,6 +34,7 @@ type plan = {
   p_masks : int array;
   p_shifts : int array;
   p_widths : int array;
+  p_offsets : int array;
   p_bits : int;
   p_low_bits : int;
   p_strategy : strategy;
@@ -41,8 +43,8 @@ type plan = {
 val plan :
   layout:Group_key.layout -> radix_bits:int -> X3_lattice.State.t array -> plan
 
-val key_of_compact : plan -> Group_key.layout -> int -> Group_key.t
-(** The canonical group key of a compact key (re-spreads the compact
+val word_of_compact : plan -> int -> int
+(** The one-word group key of a compact key (re-spreads the compact
     fields onto the layout's own offsets). *)
 
 (** {1 Cursors — per-row qualification and compact keys} *)
@@ -68,20 +70,21 @@ val acc_bytes : plan -> int
 
 val acc_create : plan -> acc
 val acc_occupied : acc -> int
-(** Occupied slots = live group counters (what [Group_key.Tbl.length] is
+(** Occupied slots = live group counters (what [Group_table.length] is
     on the hash path). *)
 
-val acc_add : acc -> slot:int -> mark:int -> float -> bool
-(** Deduplicated add: at most one contribution per (mark, slot), where
-    [mark] is a fact-block index or fact id — sound because a fact's rows
-    are contiguous. Returns [true] when the slot became occupied. *)
+val acc_add : acc -> slot:int -> mark:int -> float array -> int -> bool
+(** Deduplicated add of measure [ms.(i)]: at most one contribution per
+    (mark, slot), where [mark] is a fact-block index or fact id — sound
+    because a fact's rows are contiguous. Returns [true] when the slot
+    became occupied. *)
 
-val acc_add_raw : acc -> slot:int -> float -> bool
+val acc_add_raw : acc -> slot:int -> float array -> int -> bool
 (** Add without deduplication (TDOPT-style raw counting). *)
 
-val acc_flush : acc -> f:(int -> Aggregate.cell -> unit) -> unit
-(** Occupied slots in ascending compact-key order, each as a freshly
-    allocated cell. *)
+val acc_flush : plan -> acc -> Group_table.t -> unit
+(** Merge the occupied slots into the table (inserting their groups), in
+    ascending compact-key order. *)
 
 (** {1 Partitioned grouping} *)
 
@@ -92,13 +95,16 @@ val partitioned :
   rows:int ->
   key:(int -> int) ->
   fact:(int -> int) ->
-  measure:(int -> float) ->
+  block:(int -> int) ->
+  measures:float array ->
   dedup:bool ->
-  emit:(int -> Aggregate.cell -> unit) ->
+  Group_table.t ->
   unit
 (** Stable counting-sort scatter on the key's high bits, then dense
-    per-partition aggregation over the low bits. [key r < 0] skips row
-    [r]; [emit] receives groups in ascending compact-key order. *)
+    per-partition aggregation over the low bits, merged into the table in
+    ascending compact-key order. [key r < 0] skips row [r]; row [r]'s
+    measure is [measures.(block r)]; with [dedup], a [fact r] counts once
+    per group. *)
 
 (** {1 BUC's partition sort}
 

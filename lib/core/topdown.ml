@@ -16,15 +16,17 @@ type variant = [ `Plain | `Opt | `OptAll | `Custom of X3_lattice.Properties.t ]
    over the materialised (cartesian) table sees. *)
 let cols_qualifies cuboid cols ~row =
   let n = Array.length cuboid in
-  let rec go ai =
-    ai >= n
-    ||
-    match cuboid.(ai) with
-    | State.Removed -> go (ai + 1)
-    | State.Present m ->
-        Columnar.qualifies cols ~axis:ai ~row ~state:m && go (ai + 1)
-  in
-  go 0
+  let ai = ref 0 in
+  while
+    !ai < n
+    &&
+    match cuboid.(!ai) with
+    | State.Removed -> true
+    | State.Present m -> Columnar.qualifies cols ~axis:!ai ~row ~state:m
+  do
+    incr ai
+  done;
+  !ai >= n
 
 let mode_name = function
   | `Dedup -> "dedup"
@@ -75,7 +77,7 @@ let compute_from_base (ctx : Context.t) ~instr ~pool ~cols ~bm ~checkpoint
   instr.Instrument.rows_scanned <- instr.Instrument.rows_scanned + rows;
   let dedup = mode = `Dedup in
   let representative = mode = `Representative in
-  let measure_row r = bm.(Columnar.block_of_row cols r) in
+  let cells = Cube_result.cells result cid in
   match p.Radix.p_strategy with
   | Radix.Direct ->
       instr.Instrument.radix_groupings <-
@@ -93,16 +95,15 @@ let compute_from_base (ctx : Context.t) ~instr ~pool ~cols ~bm ~checkpoint
             instr.Instrument.dedup_tracked <-
               instr.Instrument.dedup_tracked + 1;
             ignore
-              (Radix.acc_add acc ~slot:k ~mark:(Columnar.fact cols r)
-                 (measure_row r))
+              (Radix.acc_add acc ~slot:k ~mark:(Columnar.fact cols r) bm
+                 (Columnar.block_of_row cols r))
           end
-          else ignore (Radix.acc_add_raw acc ~slot:k (measure_row r))
+          else
+            ignore
+              (Radix.acc_add_raw acc ~slot:k bm (Columnar.block_of_row cols r))
         end
       done;
-      Radix.acc_flush acc ~f:(fun compact cell ->
-          Cube_result.set_cell result ~cuboid:cid
-            ~key:(Radix.key_of_compact p ctx.Context.layout compact)
-            cell)
+      Radix.acc_flush p acc cells
   | Radix.Partitioned ->
       instr.Instrument.radix_groupings <-
         instr.Instrument.radix_groupings + 1;
@@ -122,11 +123,8 @@ let compute_from_base (ctx : Context.t) ~instr ~pool ~cols ~bm ~checkpoint
           end
           else -1)
         ~fact:(fun r -> Columnar.fact cols r)
-        ~measure:measure_row ~dedup
-        ~emit:(fun compact cell ->
-          Cube_result.set_cell result ~cuboid:cid
-            ~key:(Radix.key_of_compact p ctx.Context.layout compact)
-            cell)
+        ~block:(fun r -> Columnar.block_of_row cols r)
+        ~measures:bm ~dedup cells
   | Radix.Hash ->
       instr.Instrument.hash_groupings <- instr.Instrument.hash_groupings + 1;
       instr.Instrument.sort_ops <- instr.Instrument.sort_ops + 1;
@@ -150,41 +148,35 @@ let compute_from_base (ctx : Context.t) ~instr ~pool ~cols ~bm ~checkpoint
                 instr.Instrument.keys_built <-
                   instr.Instrument.keys_built + 1;
                 emit
-                  (Sort_record.encode ~key:(Group_key.to_sortable
-                                              (Group_key.freeze scratch))
+                  (Sort_record.encode
+                     ~key:(Group_key.scratch_sortable scratch)
                      ~fact:(if dedup then Columnar.fact cols r else 0)
-                     ~measure:(measure_row r))
+                     ~measure:bm.(Columnar.block_of_row cols r))
               end
             done)
       in
       instr.Instrument.rows_sorted <- instr.Instrument.rows_sorted + !fed;
       fed_total := !fed;
       (* One sweep: group boundaries on key change (the run is key-sorted,
-         so the group's cell is carried across records rather than looked
-         up per record); duplicate facts are consecutive within a group. *)
-      let layout = Cube_result.layout result in
-      let current_key = ref None and current_cell = ref None in
+         so the group is carried across records rather than looked up per
+         record, and its key decoded straight into words once); duplicate
+         facts are consecutive within a group. *)
+      let current_key = ref "" and group = ref (-1) in
+      let measures = [| 0. |] in
       let prev_fact = ref (-1) in
       Heap_file.iter
         (fun record ->
           let key, fact, measure = Sort_record.decode record in
-          let same_group =
-            match !current_key with
-            | Some k -> String.equal k key
-            | None -> false
-          in
+          let same_group = !group >= 0 && String.equal !current_key key in
           if not same_group then begin
-            current_key := Some key;
-            current_cell :=
-              Some
-                (Cube_result.cell result ~cuboid:cid
-                   ~key:(Group_key.of_sortable layout key))
+            current_key := key;
+            Group_key.load_sortable scratch key;
+            group := Group_table.find_or_add cells (Group_key.words scratch)
           end;
           let duplicate = dedup && same_group && fact = !prev_fact in
           if not duplicate then begin
-            match !current_cell with
-            | Some cell -> Aggregate.add cell measure
-            | None -> assert false
+            measures.(0) <- measure;
+            Group_table.add cells !group measures 0
           end;
           if dedup then
             instr.Instrument.dedup_tracked <-
@@ -203,11 +195,10 @@ let rollup (ctx : Context.t) result ~finer ~coarser =
       let instr = ctx.instr in
       instr.Instrument.rollups <- instr.Instrument.rollups + 1;
       let coarse = Lattice.cuboid ctx.lattice coarser in
-      Cube_result.iter_cuboid result finer (fun key cell ->
-          let key' = Group_key.project ctx.layout ~to_:coarse key in
-          Aggregate.merge
-            ~into:(Cube_result.cell result ~cuboid:coarser ~key:key')
-            cell))
+      Group_table.merge_into
+        ~masks:(Group_key.word_masks (Cube_result.layout result) coarse)
+        (Cube_result.cells result coarser)
+        ~src:(Cube_result.cells result finer))
 
 type worker = { instr : Instrument.t; pool : Buffer_pool.t }
 

@@ -588,10 +588,6 @@ let prop_packed_key_roundtrip =
         | Group_key.Packed _ -> layout.Group_key.packed_fits
         | Group_key.Wide _ -> not layout.Group_key.packed_fits
       in
-      let sortable_roundtrips =
-        Group_key.equal key
-          (Group_key.of_sortable layout (Group_key.to_sortable key))
-      in
       (* The allocation-free scratch path builds the same key from a row. *)
       let row =
         {
@@ -604,6 +600,11 @@ let prop_packed_key_roundtrip =
       in
       let scratch = Group_key.make_scratch layout in
       Group_key.load scratch cuboid row;
+      let sortable_roundtrips =
+        let back = Group_key.make_scratch layout in
+        Group_key.load_sortable back (Group_key.scratch_sortable scratch);
+        Group_key.equal key (Group_key.freeze back)
+      in
       ids_survive && representation_matches && sortable_roundtrips
       && Group_key.equal key (Group_key.freeze scratch))
 
@@ -671,8 +672,11 @@ let test_long_value_rejected_not_corrupted () =
   Alcotest.(check int) "one huge-valued group" 1
     (Cube_result.cuboid_size result rigid);
   let total = ref 0. in
-  Cube_result.iter_cuboid result rigid (fun _ cell ->
-      total := !total +. Aggregate.value Aggregate.Count cell);
+  Cube_result.iter
+    (fun ~cuboid ~key:_ cell ->
+      if cuboid = rigid then
+        total := !total +. Aggregate.value Aggregate.Count cell)
+    result;
   Alcotest.(check (float 1e-9)) "both facts counted" 2. !total
 
 let test_long_value_exports () =
@@ -1705,35 +1709,209 @@ let test_buc_over_cap_nondisjoint () =
         [ ("default", Engine.default_config); ("radix_bits 0", hash_config) ])
     Engine.[ Buc; Buccust ]
 
-(* --- Seen compaction ------------------------------------------------------- *)
+(* --- the group table --------------------------------------------------------- *)
 
-let test_seen_compaction () =
-  let layout = Group_key.layout_of_sizes [| 65536 |] in
-  let scratch = Group_key.make_scratch layout in
-  let cuboid = [| X3_lattice.State.Present 0 |] in
-  let seen = Group_key.Seen.create () in
-  let row v =
-    { Witness.fact = v; cells = [| { Witness.id = v; validity = 1; first = true } |] }
+(* Key [i] of a [w]-word model: injective in [i], all zeros at [i = 0],
+   and for [w >= 2] pairs of keys share word 0 and differ in word 1. *)
+let model_key ~w i =
+  Array.init w (fun j ->
+      match j with
+      | 0 -> (if w = 1 then i else i / 2) * 0x9E3779B97F4A7 land ((1 lsl 62) - 1)
+      | 1 -> i mod 2
+      | j -> i * (2 * j + 1) land ((1 lsl 62) - 1))
+
+(* Every distinct key inserted once, then [facts] — each a few rows'
+   key indices (repeats included) and a measure — through [add_marked]
+   stamped with the fact's number, against a Stdlib [Hashtbl] model in
+   which a fact counts once per group. More than 1,536 distinct keys means
+   ten grows (the index doubles from 8 slots at a 3/4 load bound). *)
+let prop_group_table_model =
+  QCheck2.Test.make ~name:"group table = Hashtbl model (w = 1, 2, 3)"
+    ~count:12
+    QCheck2.Gen.(
+      let* w = int_range 1 3 in
+      let* nkeys = int_range 1600 2200 in
+      let row = oneof [ int_bound 20; int_bound (nkeys - 1) ] in
+      let* facts =
+        list_size (int_range 100 400)
+          (pair (list_size (int_range 1 4) row)
+             (map float_of_int (int_range (-50) 50)))
+      in
+      return (w, nkeys, facts))
+    (fun (w, nkeys, facts) ->
+      let tbl = Group_table.create ~words:w in
+      let model = Hashtbl.create 64 in
+      let ms = [| 0. |] in
+      let stamps_agree = ref true in
+      let apply k ~mark m =
+        let g = Group_table.find_or_add tbl (model_key ~w k) in
+        ms.(0) <- m;
+        let added = Group_table.add_marked tbl g ~mark ms 0 in
+        let n, total, low, high, last =
+          Option.value (Hashtbl.find_opt model k)
+            ~default:(0, 0., infinity, neg_infinity, -1)
+        in
+        if last <> mark then
+          Hashtbl.replace model k
+            (n + 1, total +. m, Float.min low m, Float.max high m, mark);
+        if added <> (last <> mark) then stamps_agree := false
+      in
+      for k = 0 to nkeys - 1 do
+        apply k ~mark:0 1.
+      done;
+      List.iteri
+        (fun f (rows, m) -> List.iter (fun k -> apply k ~mark:(f + 1) m) rows)
+        facts;
+      let groups_match =
+        Hashtbl.fold
+          (fun k (n, total, low, high, _) ok ->
+            let key = model_key ~w k in
+            let g = Group_table.find tbl key in
+            ok && g >= 0
+            && Group_table.key tbl g
+               = (if w = 1 then Group_key.Packed key.(0) else Group_key.Wide key)
+            && Group_table.value Aggregate.Count tbl g = float_of_int n
+            && Group_table.value Aggregate.Sum tbl g = total
+            && Group_table.value Aggregate.Min tbl g = low
+            && Group_table.value Aggregate.Max tbl g = high)
+          model true
+      in
+      !stamps_agree && groups_match
+      && Group_table.length tbl = Hashtbl.length model
+      && Group_table.length tbl > 1536
+      && Group_table.find tbl (model_key ~w nkeys) = -1)
+
+(* Keys whose probe starts at the last slot of the 8-slot index: the
+   second and third wrap around to slots 0 and 1, and every one is still
+   found, before and after the table grows past them. *)
+let test_group_table_wrap () =
+  let tbl = Group_table.create ~words:1 in
+  let rec last_slot_keys k acc =
+    if List.length acc = 3 then List.rev acc
+    else if Group_table.hash tbl [| k |] land 7 = 7 then
+      last_slot_keys (k + 1) (k :: acc)
+    else last_slot_keys (k + 1) acc
   in
-  (* Thousands of tiny generations with mostly-fresh keys: the cache must
-     track the widest single generation, not the union of every key the
-     scan ever produced. *)
-  for g = 0 to 2_000 do
-    Group_key.Seen.reset seen;
-    for i = 0 to 4 do
-      Group_key.load scratch cuboid (row ((g * 5) + i mod 60_000));
-      ignore (Group_key.Seen.add seen scratch)
-    done
+  let keys = last_slot_keys 0 [] in
+  List.iteri
+    (fun i k ->
+      Alcotest.(check int) "dense group numbers" i
+        (Group_table.find_or_add_word tbl k))
+    keys;
+  let found () = List.map (fun k -> Group_table.find tbl [| k |]) keys in
+  Alcotest.(check (list int)) "wrapped keys found" [ 0; 1; 2 ] (found ());
+  for k = 1_000 to 1_100 do
+    ignore (Group_table.find_or_add_word tbl k)
   done;
-  Alcotest.(check bool) "table stays bounded" true
-    (Group_key.Seen.table_size seen <= 256);
-  (* Dedup semantics survive compaction. *)
-  Group_key.Seen.reset seen;
-  Group_key.load scratch cuboid (row 1);
-  Alcotest.(check bool) "fresh key reported fresh" true
-    (Group_key.Seen.add seen scratch);
-  Alcotest.(check bool) "repeat key reported seen" false
-    (Group_key.Seen.add seen scratch)
+  Alcotest.(check (list int)) "found after growth" [ 0; 1; 2 ] (found ())
+
+(* A 7-axis table whose key layout is exactly [bits] wide: six axes of
+   300 values (9 bits) and a seventh of 300 (63 bits: it opens a second
+   key word) or 200 (62 bits: one word, every bit used). Facts skip and
+   repeat values, so neither disjointness nor coverage holds. *)
+let boundary_prepared ~bits =
+  let sizes = Array.init 7 (fun j -> if j = 6 && bits = 62 then 200 else 300) in
+  let facts = 320 in
+  let buf = Buffer.create (facts * 100) in
+  Buffer.add_string buf "<db>";
+  for r = 0 to facts - 1 do
+    Buffer.add_string buf "<r>";
+    Array.iteri
+      (fun j n ->
+        let v i = Printf.sprintf "<a%d>v%d</a%d>" j (((r * 7) + j + i) mod n) j in
+        if (r + (3 * j)) mod 13 <> 5 || r < n then Buffer.add_string buf (v 0);
+        if (r + j) mod 9 = 4 then Buffer.add_string buf (v 1))
+      sizes;
+    Buffer.add_string buf "</r>"
+  done;
+  Buffer.add_string buf "</db>";
+  let axes =
+    Array.init 7 (fun j ->
+        X3_pattern.Axis.make_exn ~name:(Printf.sprintf "$a%d" j)
+          ~steps:[ step c (Printf.sprintf "a%d" j) ]
+          ~allowed:[ Relax.Lnd ])
+  in
+  Engine.prepare ~pool:(small_pool ())
+    ~store:(X3_xdb.Store.of_document (parse_ok (Buffer.contents buf)))
+    (Engine.count_spec ~fact_path:[ step d "r" ] ~axes)
+
+let test_boundary_layouts () =
+  List.iter
+    (fun bits ->
+      let p = boundary_prepared ~bits in
+      let layout = Group_key.layout_of_table (Engine.table p) in
+      Alcotest.(check int) (Printf.sprintf "%d-bit layout" bits) bits
+        layout.Group_key.total_bits;
+      Alcotest.(check int)
+        (Printf.sprintf "%d-bit layout words" bits)
+        (if bits = 62 then 1 else 2)
+        layout.Group_key.words;
+      let props = X3_lattice.Properties.observe (Engine.table p) (Engine.lattice p) in
+      let disjoint = X3_lattice.Properties.all_disjoint props
+      and coverage = X3_lattice.Properties.all_covered props in
+      let csv ~config ~workers algorithm =
+        Export.csv_string ~func:Aggregate.Count
+          (fst (Engine.run ~props ~config ~workers p algorithm))
+      in
+      let reference = csv ~config:Engine.default_config ~workers:1 Engine.Naive in
+      List.iter
+        (fun algorithm ->
+          if Engine.correct_under algorithm ~disjoint ~coverage then
+            List.iter
+              (fun (cname, config) ->
+                List.iter
+                  (fun workers ->
+                    Alcotest.(check string)
+                      (Printf.sprintf "%d bits: %s %s/%dw = NAIVE" bits
+                         (Engine.algorithm_to_string algorithm)
+                         cname workers)
+                      reference
+                      (csv ~config ~workers algorithm))
+                  [ 1; 2 ])
+              [
+                ("default", Engine.default_config);
+                ("radix_bits 0", { Engine.default_config with radix_bits = 0 });
+              ])
+        Engine.all_algorithms)
+    [ 62; 63 ]
+
+(* Sequential COUNTER allocates less than one minor word per key built
+   on a dense table (at least ten keys per cell), radix tiers on or off:
+   counters are unboxed columns, keys are built in a reused scratch, and
+   no float crosses a call boxed. *)
+let test_counter_allocation_guard () =
+  let p =
+    treebank_prepared
+      {
+        X3_workload.Treebank.default with
+        num_trees = 4000;
+        density = X3_workload.Treebank.Dense;
+        coverage = false;
+        disjoint = false;
+      }
+  in
+  List.iter
+    (fun (name, config) ->
+      let ctx = Engine.Session.context (Engine.Session.create ~config p) in
+      ignore (Context.block_measures ctx (Context.cols ctx));
+      let keys0 = ctx.Context.instr.Instrument.keys_built in
+      let w0 = Gc.minor_words () in
+      let result = Counter.compute ctx in
+      let words = Gc.minor_words () -. w0 in
+      let keys = ctx.Context.instr.Instrument.keys_built - keys0 in
+      let cells = Cube_result.total_cells result in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: dense (%d keys, %d cells)" name keys cells)
+        true
+        (keys >= 10 * cells);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words < %d keys" name words keys)
+        true
+        (words < float_of_int keys))
+    [
+      ("default", Engine.default_config);
+      ("radix_bits 0", { Engine.default_config with radix_bits = 0 });
+    ]
 
 (* --- resource governor (PR 4) --------------------------------------------- *)
 
@@ -2132,8 +2310,16 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_key_roundtrip;
           Alcotest.test_case "injective" `Quick test_key_injective;
-          Alcotest.test_case "seen compaction" `Quick test_seen_compaction;
         ] );
+      ( "group table",
+        [
+          Alcotest.test_case "probe wrap-around" `Quick test_group_table_wrap;
+          Alcotest.test_case "62/63-bit layouts, every family = NAIVE" `Quick
+            test_boundary_layouts;
+          Alcotest.test_case "COUNTER allocates < 1 word per key" `Quick
+            test_counter_allocation_guard;
+        ]
+        @ qcheck [ prop_group_table_model ] );
       ( "sort record",
         [
           Alcotest.test_case "roundtrip" `Quick test_sort_record_roundtrip;
