@@ -1,6 +1,5 @@
 (* Bechamel micro-benchmarks for the substrate design choices DESIGN.md
-   calls out: stack-tree structural joins vs the quadratic join, holistic
-   path matching vs navigation, external vs in-memory sorting, buffer-pool
+   calls out: holistic path matching vs navigation, external vs in-memory sorting, buffer-pool
    behaviour, and codec costs. *)
 
 open Bechamel
@@ -15,20 +14,6 @@ let treebank_store trees =
     { X3_workload.Treebank.default with num_trees = trees; axes = 3 }
   in
   Store.of_document (X3_workload.Treebank.generate config)
-
-let join_tests () =
-  let store = treebank_store 500 in
-  let ancestors = Store.nodes_with_tag store "s" in
-  let descendants = Store.nodes_with_tag store "d1" in
-  [
-    Test.make ~name:"structural-join/stack-tree"
-      (Staged.stage (fun () ->
-           Sj.join store ~axis:Sj.Descendant ~ancestors ~descendants
-             (fun _ _ -> ())));
-    Test.make ~name:"structural-join/naive"
-      (Staged.stage (fun () ->
-           ignore (Sj.naive_join store ~axis:Sj.Descendant ~ancestors ~descendants)));
-  ]
 
 let path_tests () =
   let store = treebank_store 500 in
@@ -114,26 +99,17 @@ module Gk = X3_core.Group_key
 
 type key_workload = {
   dict_sizes : int array;  (** dictionary size per axis *)
-  kw_rows : X3_pattern.Witness.row array;
+  kw_ids : int array array;  (** one id per axis, per row *)
 }
 
 let key_workload () =
   let axes = 4 and dict = 50 and nrows = 20_000 in
   let rng = X3_workload.Rng.create ~seed:41 in
-  let kw_rows =
-    Array.init nrows (fun fact ->
-        {
-          X3_pattern.Witness.fact;
-          cells =
-            Array.init axes (fun _ ->
-                {
-                  X3_pattern.Witness.id = X3_workload.Rng.int rng dict;
-                  validity = 1;
-                  first = true;
-                });
-        })
+  let kw_ids =
+    Array.init nrows (fun _ ->
+        Array.init axes (fun _ -> X3_workload.Rng.int rng dict))
   in
-  { dict_sizes = Array.make axes dict; kw_rows }
+  { dict_sizes = Array.make axes dict; kw_ids }
 
 let packed_group_count w =
   let layout = Gk.layout_of_sizes w.dict_sizes in
@@ -144,12 +120,12 @@ let packed_group_count w =
   let scratch = Gk.make_scratch layout in
   let ones = [| 1.0 |] in
   Array.iter
-    (fun row ->
-      Gk.load scratch cuboid row;
+    (fun ids ->
+      Gk.load_ids scratch cuboid ids;
       X3_core.Group_table.add tbl
         (X3_core.Group_table.find_or_add tbl (Gk.words scratch))
         ones 0)
-    w.kw_rows;
+    w.kw_ids;
   X3_core.Group_table.length tbl
 
 let key_tests () =
@@ -191,7 +167,7 @@ let eval_tests () =
   ]
 
 let all_tests () =
-  join_tests () @ path_tests () @ sort_tests () @ pool_tests ()
+  path_tests () @ sort_tests () @ pool_tests ()
   @ codec_tests () @ key_tests () @ quicksort_tests () @ eval_tests ()
 
 let run ppf =

@@ -30,7 +30,7 @@ let compute ~variant (ctx : Context.t) =
     let cell_id r ai = Columnar.id cols ~axis:ai ~row:r in
     let dict_sizes = Witness.dict_sizes ctx.table in
     (* Only rows holding the fact's first binding on every removed axis
-       represent their fact here (see Context.row_represents); the
+       represent their fact here (see Context.cols_represents); the
        partition keeps the others because deeper refinements may make
        those axes present. *)
     let represents env r =
@@ -134,7 +134,7 @@ let compute ~variant (ctx : Context.t) =
       if governed then begin
         let cells = Cube_result.total_cells result in
         if cells > !booked_cells then begin
-          Context.reserve ctx ((cells - !booked_cells) * Governor.counter_cost);
+          Context.reserve ctx ((cells - !booked_cells) * Context.counter_cost ctx);
           booked_cells := cells
         end
       end

@@ -114,8 +114,9 @@ let account t = t.account
 let budget_remaining t = Governor.remaining t.account
 let try_reserve t n = Governor.reserve t.account n
 let release t n = Governor.release t.account n
+let counter_cost t = Governor.counter_cost ~words:t.layout.Group_key.words
 (* Reservations come in very different grains — a whole witness table down
-   to one decoded row. Only the coarse ones become trace events, or a
+   to a few group counters. Only the coarse ones become trace events, or a
    per-row booking loop would flood the ring with noise. *)
 let trace_reserve_floor = 4096
 
@@ -150,41 +151,6 @@ let checkpoint t =
   c.tick <- c.tick + 1;
   if c.tick land 63 = 0 then check t
 
-(* Wrap one table scan in a span that reports how many rows it visited;
-   a Stop (or any exception) escaping the scan still closes the span. *)
-let traced_scan t body =
-  let sp = Trace.start "witness.scan" in
-  let before = t.instr.Instrument.rows_scanned in
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.finish sp
-        ~attrs:
-          [ ("rows", Trace.Int (t.instr.Instrument.rows_scanned - before)) ])
-    body
-
-let scan t f =
-  t.instr.Instrument.table_scans <- t.instr.Instrument.table_scans + 1;
-  traced_scan t (fun () ->
-      Witness.iter
-        (fun row ->
-          checkpoint t;
-          t.instr.Instrument.rows_scanned <- t.instr.Instrument.rows_scanned + 1;
-          f row)
-        t.table)
-
-let scan_blocks t f =
-  t.instr.Instrument.table_scans <- t.instr.Instrument.table_scans + 1;
-  traced_scan t (fun () ->
-      Witness.iter_fact_blocks
-        (fun block ->
-          (* Fact blocks are coarse enough for the unamortised check — and it
-             keeps stops deterministic on small tables. *)
-          check t;
-          t.instr.Instrument.rows_scanned <-
-            t.instr.Instrument.rows_scanned + List.length block;
-          f block)
-        t.table)
-
 (* --- columnar view ------------------------------------------------------- *)
 (* The column build is itself an instrumented table scan: it reads every
    page through the buffer pool (so injected faults and corruption surface
@@ -197,32 +163,38 @@ let scan_blocks t f =
 let cols t =
   match t.cols_cache with
   | Some cols -> cols
-  | None ->
+  | None -> (
       let axes = Array.length (Witness.axes t.table) in
       let rows = Witness.row_count t.table in
       let blocks = Witness.fact_count t.table in
       (* The columns stay resident until the query ends; book them before
          allocating so governed runs see the footprint up front. *)
-      reserve t (Witness.Columnar.approx_bytes ~axes ~rows ~blocks);
+      let bytes = Witness.Columnar.approx_bytes ~axes ~rows ~blocks in
+      reserve t bytes;
       let b = Witness.Columnar.Builder.create ~axes ~rows in
       t.instr.Instrument.table_scans <- t.instr.Instrument.table_scans + 1;
       let sp = Trace.start "witness.columnar" in
-      let cols =
-        Fun.protect
-          ~finally:(fun () ->
-            Trace.finish sp ~attrs:[ ("rows", Trace.Int rows) ])
-          (fun () ->
-            Witness.iter
-              (fun row ->
-                checkpoint t;
-                t.instr.Instrument.rows_scanned <-
-                  t.instr.Instrument.rows_scanned + 1;
-                Witness.Columnar.Builder.add b row)
-              t.table;
-            Witness.Columnar.Builder.finish b)
-      in
-      t.cols_cache <- Some cols;
-      cols
+      let finish () = Trace.finish sp ~attrs:[ ("rows", Trace.Int rows) ] in
+      match
+        Witness.iter
+          (fun row ->
+            checkpoint t;
+            t.instr.Instrument.rows_scanned <-
+              t.instr.Instrument.rows_scanned + 1;
+            Witness.Columnar.Builder.add b row)
+          t.table;
+        Witness.Columnar.Builder.finish b
+      with
+      | cols ->
+          finish ();
+          t.cols_cache <- Some cols;
+          cols
+      | exception e ->
+          (* A session outlives the request whose stop (or fault)
+             abandons the build: the booking goes with the columns. *)
+          finish ();
+          release t bytes;
+          raise e)
 
 let block_measures t cols =
   match t.block_measures_cache with
@@ -242,28 +214,20 @@ let block_measures t cols =
 
 (* The ingest path appended [rows] (coded, fresh facts) to [t.table];
    bring the derived caches along so the next request sees the new tail
-   without a rebuild. The columnar view grows by a blit-extended tail
-   chunk and the block-measure array by one entry per appended fact block
-   — both booked against the account; when a booking is refused the cache
-   is dropped (releasing its old booking) and rebuilt lazily under the
-   normal reserve path instead of failing the append. *)
+   without a rebuild. The columnar view takes the rows at its tail (in
+   place while its arrays have room) and the block-measure array gains
+   one entry per appended fact block — both booked against the account,
+   the columns by the room their arrays hold; when a booking is refused
+   the cache is dropped (releasing its old booking) and rebuilt lazily
+   under the normal reserve path instead of failing the append. *)
 let note_append t rows =
   (match t.cols_cache with
   | None -> ()
   | Some cols ->
-      let axes = Witness.Columnar.axes cols in
-      let old_bytes =
-        Witness.Columnar.approx_bytes ~axes
-          ~rows:(Witness.Columnar.rows cols)
-          ~blocks:(Witness.Columnar.blocks cols)
-      in
+      let old_bytes = Witness.Columnar.resident_bytes cols in
       let extended = Witness.Columnar.extend cols rows in
-      let new_bytes =
-        Witness.Columnar.approx_bytes ~axes
-          ~rows:(Witness.Columnar.rows extended)
-          ~blocks:(Witness.Columnar.blocks extended)
-      in
-      if try_reserve t (max 0 (new_bytes - old_bytes)) then
+      let new_bytes = Witness.Columnar.resident_bytes extended in
+      if try_reserve t (new_bytes - old_bytes) then
         t.cols_cache <- Some extended
       else begin
         release t old_bytes;
@@ -289,57 +253,6 @@ let note_append t rows =
           release t ((8 * old) + 16);
           t.block_measures_cache <- None)
 
-(* --- snapshots for the parallel paths ----------------------------------- *)
-(* Workers must not share the buffer pool (its frame table and clock hand
-   are unsynchronised), so the parallel algorithms take one instrumented
-   sequential pass that materialises the rows in memory, then fan the
-   snapshot out. Rows and their cells are immutable after materialisation,
-   so sharing them across domains is safe. *)
-
-type block = { block_measure : float; block_rows : Witness.row list }
-
-let snapshot_blocks t =
-  let per_row = Governor.row_cost ~axes:(Array.length (Witness.axes t.table)) in
-  let acc = ref [] in
-  scan_blocks t (fun rows ->
-      match rows with
-      | [] -> ()
-      | first :: _ ->
-          (* The snapshot keeps every decoded row live until the query ends;
-             book it so governed parallel runs see the real footprint. *)
-          reserve t (per_row * List.length rows);
-          acc :=
-            {
-              block_measure = t.measure first.Witness.fact;
-              block_rows = rows;
-            }
-            :: !acc);
-  Array.of_list (List.rev !acc)
-
-let snapshot_rows t =
-  let per_row = Governor.row_cost ~axes:(Array.length (Witness.axes t.table)) in
-  let acc = ref [] in
-  scan t (fun row ->
-      reserve t per_row;
-      acc := row :: !acc);
-  Array.of_list (List.rev !acc)
-
-let frozen_measure t rows =
-  (* [t.measure] may memoise into a private Hashtbl (Engine.measure_fn), so
-     it must not be called from two domains. Force it for every fact here,
-     sequentially; the resulting table is then only read. *)
-  let memo : (int, float) Hashtbl.t = Hashtbl.create 1024 in
-  Array.iter
-    (fun row ->
-      let fact = row.Witness.fact in
-      if not (Hashtbl.mem memo fact) then
-        Hashtbl.replace memo fact (t.measure fact))
-    rows;
-  fun fact ->
-    match Hashtbl.find_opt memo fact with
-    | Some v -> v
-    | None -> t.measure fact
-
 let cols_represents cuboid cols ~row =
   let n = Array.length cuboid in
   let ai = ref 0 in
@@ -353,15 +266,3 @@ let cols_represents cuboid cols ~row =
     incr ai
   done;
   !ai >= n
-
-let row_represents cuboid row =
-  let n = Array.length cuboid in
-  let rec go ai =
-    ai >= n
-    ||
-    match cuboid.(ai) with
-    | State.Removed -> row.Witness.cells.(ai).Witness.first && go (ai + 1)
-    | State.Present m ->
-        Witness.qualifies row ~axis_index:ai ~state:m && go (ai + 1)
-  in
-  go 0

@@ -115,7 +115,7 @@ val checkpoint : t -> unit
 
     Thin veneer over the context's {!Governor.account}. Algorithms reserve
     bytes for the structures they are about to grow (group tables, sort
-    buffers, row snapshots) at the same boundaries where they {!check};
+    buffers, columns) at the same boundaries where they {!check};
     a refused reservation means the spill paths have already been squeezed
     to their floors, so the run stops with [Over_budget]. *)
 
@@ -132,15 +132,12 @@ val try_reserve : t -> int -> bool
 val release : t -> int -> unit
 (** Return [n] bytes to the account. *)
 
+val counter_cost : t -> int
+(** {!Governor.counter_cost} of one group under the context's key layout. *)
+
 val budget_remaining : t -> int
 (** Bytes still reservable — [max_int] when ungoverned. The spill paths
     derive their effective in-memory budgets from this. *)
-
-val scan : t -> (X3_pattern.Witness.row -> unit) -> unit
-(** One instrumented pass over the witness table. *)
-
-val scan_blocks : t -> (X3_pattern.Witness.row list -> unit) -> unit
-(** Instrumented pass grouped by fact. *)
 
 (** {1 Columnar view}
 
@@ -153,7 +150,8 @@ val scan_blocks : t -> (X3_pattern.Witness.row list -> unit) -> unit
 
 val cols : t -> X3_pattern.Witness.Columnar.t
 (** The table's columnar view, built (and byte-booked) on first use.
-    Counts as one table scan. *)
+    Counts as one table scan. A build abandoned by a {!Stop} (or a fault)
+    releases its booking, so a long-lived context stays balanced. *)
 
 val block_measures : t -> X3_pattern.Witness.Columnar.t -> float array
 (** Measure per fact block, forced sequentially on first use (the measure
@@ -168,44 +166,14 @@ val note_append : t -> X3_pattern.Witness.row list -> unit
     booking released) so it rebuilds lazily under the normal reserve path
     instead of failing the append. *)
 
-(** {1 Snapshots — the parallel algorithms' input}
-
-    The buffer pool underneath the witness table is unsynchronised, so
-    domain-parallel algorithms take one instrumented sequential pass that
-    materialises the rows in memory and then partition the snapshot across
-    workers. Rows are immutable after materialisation; sharing them across
-    domains is safe. *)
-
-type block = {
-  block_measure : float;  (** the fact's measure, pre-forced sequentially *)
-  block_rows : X3_pattern.Witness.row list;
-}
-
-val snapshot_blocks : t -> block array
-(** Every fact block, in table order, with its measure pre-computed (the
-    measure function may memoise and must not run concurrently). Counts as
-    one table scan. *)
-
-val snapshot_rows : t -> X3_pattern.Witness.row array
-(** Every row, in table order. Counts as one table scan. *)
-
-val frozen_measure : t -> X3_pattern.Witness.row array -> int -> float
-(** A domain-safe measure function: forces [measure] sequentially for every
-    fact appearing in the rows, then serves lookups from the read-only
-    memo. *)
-
 val cols_represents :
   X3_lattice.Cuboid.t -> X3_pattern.Witness.Columnar.t -> row:int -> bool
-(** {!row_represents} over the columnar view — the hash fallback's
-    qualification check (the radix kernels fuse the same predicate into
-    their cursors). *)
-
-val row_represents : X3_lattice.Cuboid.t -> X3_pattern.Witness.row -> bool
-(** Is this row the fact's canonical representative in the cuboid: every
-    present axis holds a binding valid at the cuboid's structural state,
-    and every LND-removed axis holds the fact's {e first} binding. The
-    first-binding condition collapses the cartesian duplicates that
+(** Is row index [row] its fact's canonical representative in the cuboid:
+    every present axis holds a binding valid at the cuboid's structural
+    state, and every LND-removed axis holds the fact's {e first} binding.
+    The first-binding condition collapses the cartesian duplicates that
     repeated bindings on removed axes would otherwise create, so a fact
     gets exactly one representative per distinct group key — unless a
     present axis itself repeats, which is precisely the disjointness
-    violation of §3.2. *)
+    violation of §3.2. The hash fallback and the views check it per row;
+    the radix kernels fuse the same predicate into their cursors. *)

@@ -118,7 +118,7 @@ let compute_sequential (ctx : Context.t) =
   let paid = ref 0 in
   let pay target =
     target <= !paid
-    || Context.try_reserve ctx ((target - !paid) * Governor.counter_cost)
+    || Context.try_reserve ctx ((target - !paid) * Context.counter_cost ctx)
        && begin
             paid := target;
             true
@@ -126,7 +126,7 @@ let compute_sequential (ctx : Context.t) =
   in
   let settle target =
     if target < !paid then begin
-      Context.release ctx ((!paid - target) * Governor.counter_cost);
+      Context.release ctx ((!paid - target) * Context.counter_cost ctx);
       paid := target
     end
   in
@@ -285,7 +285,7 @@ let compute_parallel (ctx : Context.t) =
     let paid = ref 0 in
     let pay target =
       target <= !paid
-      || Context.try_reserve ctx ((target - !paid) * Governor.counter_cost)
+      || Context.try_reserve ctx ((target - !paid) * Context.counter_cost ctx)
          && begin
               paid := target;
               true
@@ -324,7 +324,7 @@ let compute_parallel (ctx : Context.t) =
       let pass_budget =
         let rem = Context.budget_remaining ctx in
         if rem = max_int then budget
-        else min budget (rem / Governor.counter_cost / ctx.workers)
+        else min budget (rem / Context.counter_cost ctx / ctx.workers)
       in
       let states =
         Fun.protect

@@ -320,11 +320,13 @@ type delta_fallback =
   | Layout_overflow of string
   | Measure_unsupported
   | Fragment_unsupported of string
+  | Stopped of Context.stop_reason
 
 let fallback_reason_name = function
   | Layout_overflow _ -> "layout_overflow"
   | Measure_unsupported -> "measure_unsupported"
   | Fragment_unsupported _ -> "fragment_unsupported"
+  | Stopped _ -> "stopped"
 
 let pp_fallback ppf = function
   | Layout_overflow axis ->
@@ -335,6 +337,10 @@ let pp_fallback ppf = function
         "measured cubes bind measures to store nodes; ingested facts have \
          none"
   | Fragment_unsupported reason -> Format.pp_print_string ppf reason
+  | Stopped reason ->
+      Format.fprintf ppf
+        "the session's columns could not be built or grown (%s)"
+        (Context.reason_name reason)
 
 (* --- resident sessions --------------------------------------------------- *)
 
@@ -392,10 +398,9 @@ module Session = struct
      not: a measured cube's measure function resolves fact ids against the
      host store (synthetic ingest facts have no node there), and a batch
      whose new dictionary values need more bits than the session's frozen
-     packed-key layout allocated per axis would make [Group_key.load]
-     fold distinct values onto one packed key. Both return a typed reason
-     and leave the session untouched — the caller rebuilds cold, which is
-     always exact. *)
+     packed-key layout allocated per axis would fold distinct values onto
+     one packed key. Both return a typed reason and leave the session
+     untouched — the caller rebuilds cold, which is always exact. *)
   let delta_check t staged =
     if t.s_prepared.spec.measure_path <> None then Error Measure_unsupported
     else begin
@@ -432,21 +437,33 @@ module Session = struct
       | None -> Ok ()
     end
 
+  (* The views read the delta from the tail of the session's columns, so
+     those are built before anything mutates: a stop there leaves the
+     session as it was. Only a byte budget that refuses the columns'
+     growth can stop the patch after the append. *)
   let apply_delta t staged ~views =
     match delta_check t staged with
     | Error _ as e -> e
-    | Ok () ->
-        let rows = Witness.append t.s_prepared.table staged in
-        Context.note_append t.s_ctx rows;
-        let patched =
-          List.fold_left
-            (fun acc view -> acc + Materialized.apply_rows t.s_ctx view rows)
-            0 views
-        in
-        t.s_props <-
-          X3_lattice.Properties.restrict t.s_props t.s_prepared.lattice
-            (fact_blocks rows);
-        Ok (rows, patched)
+    | Ok () -> (
+        let ctx = t.s_ctx and table = t.s_prepared.table in
+        match
+          if views <> [] then ignore (Context.cols ctx);
+          let from = Witness.row_count table in
+          let rows = Witness.append table staged in
+          Context.note_append ctx rows;
+          ( rows,
+            List.fold_left
+              (fun acc view -> acc + Materialized.apply_rows ctx view ~from)
+              0 views )
+        with
+        | exception Context.Stop reason ->
+            Context.clear_stop ctx;
+            Error (Stopped reason)
+        | rows, patched ->
+            t.s_props <-
+              X3_lattice.Properties.restrict t.s_props t.s_prepared.lattice
+                (fact_blocks rows);
+            Ok (rows, patched))
 
   (* One request's compute budget on a long-lived session: arm the
      context's deadline, run, and always disarm — clearing any stop the

@@ -149,6 +149,10 @@ type delta_fallback =
       (** measured cubes resolve fact ids against the host store;
           synthetic ingest facts have no node there *)
   | Fragment_unsupported of string  (** {!stage_fragment} refused *)
+  | Stopped of Context.stop_reason
+      (** the session's columns, which the views read the delta from,
+          could not be built (cancelled, or over the byte budget) or,
+          under a byte budget, grown by the batch *)
 
 val fallback_reason_name : delta_fallback -> string
 (** Stable snake_case names ("layout_overflow", ...) for metrics and wire
@@ -194,20 +198,24 @@ module Session : sig
     (X3_pattern.Witness.row list * int, delta_fallback) result
   (** Append one staged fact batch to the session's witness table and
       patch [views] cell-by-cell — only the cells whose packed group
-      keys the new facts touch change, nothing is rebuilt. On success
-      the table, the context's columnar caches, every given view and
-      the observed properties are all consistent with a cold rebuild of
-      the extended table; [Ok (rows, patched)] returns the coded rows
-      and how many view cells were touched. A typed [Error] means the
-      delta could not be proven sound ({!delta_fallback}) and {e
-      nothing was mutated} — the caller must rebuild cold. Soundness of
-      the patch itself needs no disjointness or coverage: group fact
-      sets make repeats idempotent (§3.6's discipline), and the
-      property refresh keeps {e future} rollup decisions honest. *)
+      keys the new facts touch change, nothing is rebuilt. The views
+      read the batch from the tail of the context's columns, which
+      {!Context.note_append} extends. On success the table, the
+      context's columnar caches, every given view and the observed
+      properties are all consistent with a cold rebuild of the extended
+      table; [Ok (rows, patched)] returns the coded rows and how many
+      view cells were touched. A typed [Error] means the delta could not
+      be proven sound ({!delta_fallback}) and nothing was mutated —
+      except a [Stopped] that a byte budget raised while growing the
+      columns, after the append. Either way the caller must rebuild
+      cold. Soundness of the patch itself needs no disjointness or
+      coverage: group fact sets make repeats idempotent (§3.6's
+      discipline), and the property refresh keeps {e future} rollup
+      decisions honest. *)
 
   val materialize : t -> cuboid:int -> Materialized.t
-  (** Base computation: one witness-table scan collecting the cuboid's
-      groups with fact sets. *)
+  (** Base computation: one pass over the session's columns collecting
+      the cuboid's groups with fact sets. *)
 
   val rollup :
     t -> Materialized.t -> coarser:int -> (Materialized.t, string) result

@@ -17,18 +17,16 @@
    of 100 to 200k groups, it lands between 59 and 108 bytes for one-word
    keys and between 67 and 123 for two-word keys, depending on where the
    table is between grows; 96 is the documented middle. Three-word keys
-   (layouts over 124 bits) take 75 to 139. *)
-let counter_cost = 96
+   (layouts over 124 bits) take 75 to 139, midpoint 107: every word past
+   the second books 16 bytes more, its key word and its share of the
+   chunk's growth slack. *)
+let counter_cost ~words = 96 + (16 * max 0 (words - 2))
 
 (* One sort-buffer record: the encoded record string (key + fact + measure,
    typically 20-40 bytes + string header) plus its buffer slot. *)
 let sort_record_cost = 96
 
 let sort_floor_records = 64
-
-(* One decoded row: the row record (2 fields), the cell array and one
-   3-field cell record per axis, in 8-byte words. *)
-let row_cost ~axes = 8 * (4 + axes + (4 * axes))
 
 (* --- the global pool ---------------------------------------------------- *)
 

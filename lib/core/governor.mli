@@ -24,9 +24,11 @@
 
 (** {1 Cost model} *)
 
-val counter_cost : int
-(** Estimated bytes of one live group counter: the hash-table slot, the
-    boxed group key and the aggregate cell. *)
+val counter_cost : words:int -> int
+(** Estimated bytes of one live group counter of a {!Group_table} whose
+    keys are [words] words long: its key, its aggregate columns and its
+    share of the lookup index. 96 for one- and two-word keys, 16 more per
+    word beyond. *)
 
 val sort_record_cost : int
 (** Estimated bytes of one record resident in an external-sort buffer
@@ -36,10 +38,6 @@ val sort_floor_records : int
 (** The spill floor of the external sort: below this many in-memory
     records a sort cannot make useful progress, so a byte budget that
     cannot cover it is over budget rather than infinitely spilling. *)
-
-val row_cost : axes:int -> int
-(** Estimated bytes of one decoded witness row resident in memory (the
-    row record, its cell array and the per-axis cells). *)
 
 (** {1 The global pool} *)
 

@@ -64,7 +64,7 @@ let make_scratch layout =
 
 let words scratch = scratch.s_words
 
-let bad_row () = invalid_arg "Group_key.load: row does not qualify"
+let bad_row () = invalid_arg "Group_key: a present axis is unbound"
 
 let[@inline] clear s =
   for i = 0 to Array.length s.s_words - 1 do
@@ -77,16 +77,7 @@ let[@inline] set_field s ai id =
   let wi = l.word.(ai) in
   s.s_words.(wi) <- s.s_words.(wi) lor (id lsl l.offsets.(ai))
 
-let load s cuboid (row : Witness.row) =
-  clear s;
-  let cells = row.Witness.cells in
-  for ai = 0 to Array.length cuboid - 1 do
-    match cuboid.(ai) with
-    | State.Removed -> ()
-    | State.Present _ -> set_field s ai cells.(ai).Witness.id
-  done
-
-(* The columnar twin of [load]: ids come straight from the id columns. *)
+(* Ids come straight from the id columns. *)
 let load_cols s cuboid cols ~row =
   clear s;
   for ai = 0 to Array.length cuboid - 1 do
@@ -133,12 +124,6 @@ let word_masks layout cuboid =
           masks.(wi) <- masks.(wi) lor field_mask layout ai)
     cuboid;
   masks
-
-let project layout ~to_ key =
-  let masks = word_masks layout to_ in
-  match key with
-  | Packed p -> Packed (p land masks.(0))
-  | Wide w -> Wide (Array.mapi (fun i v -> v land masks.(i)) w)
 
 (* --- the dictionary boundary -------------------------------------------- *)
 

@@ -48,19 +48,15 @@ val words : scratch -> int array
 (** The scratch's live key words ([layout.words] of them), overwritten by
     every load: what {!Group_table} lookups read. *)
 
-val load : scratch -> X3_lattice.Cuboid.t -> X3_pattern.Witness.row -> unit
-(** Assemble the key of [row] under the cuboid into the scratch. Raises
-    [Invalid_argument] if a present axis is unbound (the row does not
-    qualify). *)
-
 val load_cols :
   scratch ->
   X3_lattice.Cuboid.t ->
   X3_pattern.Witness.Columnar.t ->
   row:int ->
   unit
-(** {!load} over the columnar view: assemble the key of row index [row]
-    from the id columns. Same qualification contract as {!load}. *)
+(** Assemble the key of row index [row] under the cuboid from the id
+    columns. Raises [Invalid_argument] if a present axis is unbound (the
+    row does not qualify). *)
 
 val load_ids : scratch -> X3_lattice.Cuboid.t -> int array -> unit
 (** Assemble the key from one id per axis (entries at removed axes are
@@ -89,9 +85,6 @@ val id_at : layout -> t -> axis:int -> int
 val word_masks : layout -> X3_lattice.Cuboid.t -> int array
 (** Per key word, the bits of the fields the cuboid keeps: projecting a
     key to the cuboid is an [land] per word. *)
-
-val project : layout -> to_:X3_lattice.Cuboid.t -> t -> t
-(** Re-key to a coarser cuboid: zero the fields of axes [to_] removes. *)
 
 (** {2 The dictionary boundary} *)
 

@@ -190,20 +190,20 @@ let merge t g ~src h =
   let c = chunk src h in
   merge_columns t g ~n:c.n ~total:c.total ~low:c.low ~high:c.high (slot h)
 
+let find_or_add_group ?masks t ~src h =
+  let keys = (chunk src h).keys and base = slot h * src.w in
+  match masks with
+  | None -> find_or_add_at t keys base
+  | Some masks ->
+      for j = 0 to t.w - 1 do
+        t.buf.(j) <- keys.(base + j) land masks.(j)
+      done;
+      find_or_add_at t t.buf 0
+
 let merge_into ?masks t ~src =
   if src.w <> t.w then invalid_arg "Group_table.merge_into: key widths differ";
   for h = 0 to src.size - 1 do
-    let keys = (chunk src h).keys and base = slot h * src.w in
-    let g =
-      match masks with
-      | None -> find_or_add_at t keys base
-      | Some masks ->
-          for j = 0 to t.w - 1 do
-            t.buf.(j) <- keys.(base + j) land masks.(j)
-          done;
-          find_or_add_at t t.buf 0
-    in
-    merge t g ~src h
+    merge t (find_or_add_group ?masks t ~src h) ~src h
   done
 
 let value func t g =

@@ -69,6 +69,12 @@ val merge_columns :
 (** [merge_columns t g ~n ~total ~low ~high i] folds slot [i] of another
     set of aggregate columns (a radix accumulator's) into group [g]. *)
 
+val find_or_add_group : ?masks:int array -> t -> src:t -> int -> int
+(** [find_or_add_group t ~src h] is {!find_or_add} of [src]'s group [h]
+    key, projected first through [masks] (one per word,
+    {!Group_key.word_masks}) when given. Both tables must have the same
+    [words]. *)
+
 val merge_into : ?masks:int array -> t -> src:t -> unit
 (** Fold every group of [src] into [t], in [src]'s group order. With
     [masks] (one per word, {!Group_key.word_masks}) each key is projected

@@ -2,122 +2,139 @@ module Lattice = X3_lattice.Lattice
 module Properties = X3_lattice.Properties
 module Cuboid = X3_lattice.Cuboid
 module Witness = X3_pattern.Witness
+module Trace = X3_obs.Trace
 
 module Int_set = Set.Make (Int)
 
-(* Groups are kept under coded keys relative to the source table's
-   dictionaries; the value-keyed accessors translate through them, like
-   Cube_result. A group's fact set is all it holds: its cell is computed
-   from the set when needed. *)
+(* A view counts its groups in a Group_table over the session's coded
+   keys, like every other family; the table's group numbers index the
+   fact set each group sits beside. A group's fact set is all it holds:
+   its cell is computed from the set when needed. *)
 type t = {
   cuboid_id : int;
   lattice : Lattice.t;
   layout : Group_key.layout;
   dicts : Witness.Dict.t array;
   measure : int -> float;
-  groups : (Group_key.t, Int_set.t ref) Hashtbl.t;
+  groups : Group_table.t;
+  mutable facts : Int_set.t array;  (** per group number *)
 }
 
-let cuboid_id t = t.cuboid_id
-let group_count t = Hashtbl.length t.groups
-
-let states t = Lattice.cuboid t.lattice t.cuboid_id
-
-let fact_items t ~key =
-  match Group_key.of_parts t.layout ~dicts:t.dicts (states t) key with
-  | None -> []
-  | Some coded -> (
-      match Hashtbl.find_opt t.groups coded with
-      | Some facts -> Int_set.elements !facts
-      | None -> [])
-
-let add_fact groups key fact =
-  match Hashtbl.find_opt groups key with
-  | Some facts -> facts := Int_set.add fact !facts
-  | None -> Hashtbl.replace groups key (ref (Int_set.singleton fact))
-
-let materialize (ctx : Context.t) ~cuboid =
-  let c = Lattice.cuboid ctx.lattice cuboid in
-  let groups = Hashtbl.create 256 in
-  let scratch = Group_key.make_scratch ctx.layout in
-  Context.scan ctx (fun row ->
-      if Context.row_represents c row then begin
-        Group_key.load scratch c row;
-        ctx.instr.Instrument.keys_built <-
-          ctx.instr.Instrument.keys_built + 1;
-        add_fact groups (Group_key.freeze scratch) row.Witness.fact
-      end);
+let create (ctx : Context.t) ~cuboid =
   {
     cuboid_id = cuboid;
     lattice = ctx.lattice;
     layout = ctx.layout;
     dicts = Witness.dicts ctx.table;
     measure = ctx.measure;
-    groups;
+    groups = Group_table.create ~words:ctx.layout.Group_key.words;
+    facts = [||];
   }
 
-(* The ingest delta patch: [materialize]'s per-row step over only the
-   appended rows. Adding facts to group fact-sets is duplicate-safe (set
-   union semantics), so non-disjoint repeats across the new rows cost
-   memory, never correctness — the same §3.6 discipline as rollup
-   merging. The rows must be coded against the same table (and layout)
-   the view was built on. *)
-let apply_rows (ctx : Context.t) t rows =
-  let c = Lattice.cuboid t.lattice t.cuboid_id in
+let cuboid_id t = t.cuboid_id
+let group_count t = Group_table.length t.groups
+
+let states t = Lattice.cuboid t.lattice t.cuboid_id
+
+(* Room for group [g]'s fact set, grown with the table. *)
+let make_room t g =
+  let n = Array.length t.facts in
+  if g >= n then begin
+    let grown = Array.make (max 16 (2 * n)) Int_set.empty in
+    Array.blit t.facts 0 grown 0 n;
+    t.facts <- grown
+  end
+
+let fact_items t ~key =
+  match Group_key.of_parts t.layout ~dicts:t.dicts (states t) key with
+  | None -> []
+  | Some coded ->
+      let g = Group_table.find_key t.groups coded in
+      if g < 0 then [] else Int_set.elements t.facts.(g)
+
+(* Every row of [cols] from [from] on that represents its fact in the
+   view's cuboid joins its group; returns how many did. Fact sets make a
+   repeat idempotent (set union), so non-disjoint rows cost memory, never
+   correctness — the same §3.6 discipline as rollup merging. *)
+let add_rows (ctx : Context.t) t cols ~from ~checkpoint =
+  let c = states t in
   let scratch = Group_key.make_scratch t.layout in
-  let touched = ref 0 in
-  List.iter
-    (fun row ->
-      if Context.row_represents c row then begin
-        Group_key.load scratch c row;
-        ctx.Context.instr.Instrument.keys_built <-
-          ctx.Context.instr.Instrument.keys_built + 1;
-        add_fact t.groups (Group_key.freeze scratch) row.Witness.fact;
-        incr touched
-      end)
-    rows;
-  !touched
+  let added = ref 0 in
+  for row = from to Witness.Columnar.rows cols - 1 do
+    checkpoint ();
+    if Context.cols_represents c cols ~row then begin
+      Group_key.load_cols scratch c cols ~row;
+      ctx.instr.Instrument.keys_built <- ctx.instr.Instrument.keys_built + 1;
+      let g = Group_table.find_or_add t.groups (Group_key.words scratch) in
+      make_room t g;
+      t.facts.(g) <- Int_set.add (Witness.Columnar.fact cols row) t.facts.(g);
+      incr added
+    end
+  done;
+  !added
+
+let materialize (ctx : Context.t) ~cuboid =
+  let cols = Context.cols ctx in
+  let rows = Witness.Columnar.rows cols in
+  ctx.instr.Instrument.table_scans <- ctx.instr.Instrument.table_scans + 1;
+  ctx.instr.Instrument.rows_scanned <- ctx.instr.Instrument.rows_scanned + rows;
+  let t = create ctx ~cuboid in
+  let sp = Trace.start "witness.scan" in
+  Fun.protect
+    ~finally:(fun () -> Trace.finish sp ~attrs:[ ("rows", Trace.Int rows) ])
+    (fun () ->
+      ignore
+        (add_rows ctx t cols ~from:0 ~checkpoint:(fun () ->
+             Context.checkpoint ctx)));
+  t
+
+(* The ingest delta patch: [materialize]'s per-row step over only the
+   rows [Context.note_append] added at the columns' tail. *)
+let apply_rows (ctx : Context.t) t ~from =
+  add_rows ctx t (Context.cols ctx) ~from ~checkpoint:ignore
 
 (* Estimated resident bytes, in the spirit of the Governor cost model:
-   per group one bucket + boxed key + the ref cell (~96 bytes, like
-   counter_cost), plus one balanced-set node per fact id (4 fields +
-   header = 5 words). The fixed tail covers the record itself. *)
+   per group ~96 bytes (its key and columns in the group table, its share
+   of the lookup index and its fact-set slot), plus one balanced-set node
+   per fact id (4 fields + header = 5 words). The fixed tail covers the
+   record itself. *)
 let group_cost = 96
 let fact_cost = 40
 
 let approx_bytes t =
-  Hashtbl.fold
-    (fun _ facts acc -> acc + group_cost + (fact_cost * Int_set.cardinal !facts))
-    t.groups 128
+  let bytes = ref 128 in
+  for g = 0 to group_count t - 1 do
+    bytes := !bytes + group_cost + (fact_cost * Int_set.cardinal t.facts.(g))
+  done;
+  !bytes
 
 let cell_of_facts t facts =
   let cell = Aggregate.create () in
   Int_set.iter (fun fact -> Aggregate.add cell (t.measure fact)) facts;
   cell
 
-let values t key = Group_key.to_parts t.layout ~dicts:t.dicts (states t) key
+let values t g =
+  Group_key.to_parts t.layout ~dicts:t.dicts (states t)
+    (Group_table.key t.groups g)
 
 let cells t =
-  Hashtbl.fold
-    (fun key facts acc -> (values t key, cell_of_facts t !facts) :: acc)
-    t.groups []
+  List.init (group_count t) (fun g -> (values t g, cell_of_facts t t.facts.(g)))
   |> List.sort (fun (a, _) (b, _) ->
          List.compare Group_key.compare_values a b)
 
 let rollup_unchecked (ctx : Context.t) t ~coarser =
-  let coarse = Lattice.cuboid ctx.lattice coarser in
-  let groups = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun key facts ->
-      let key' = Group_key.project t.layout ~to_:coarse key in
-      match Hashtbl.find_opt groups key' with
-      | Some merged ->
-          (* The fact sets make the merge duplicate-safe: a fact present in
-             two finer groups counts once here. *)
-          merged := Int_set.union !merged !facts
-      | None -> Hashtbl.replace groups key' (ref !facts))
-    t.groups;
-  { t with cuboid_id = coarser; groups }
+  let rolled = create ctx ~cuboid:coarser in
+  let masks = Group_key.word_masks t.layout (states rolled) in
+  for g = 0 to group_count t - 1 do
+    let g' =
+      Group_table.find_or_add_group ~masks rolled.groups ~src:t.groups g
+    in
+    make_room rolled g';
+    (* The fact sets make the merge duplicate-safe: a fact present in two
+       finer groups counts once here. *)
+    rolled.facts.(g') <- Int_set.union rolled.facts.(g') t.facts.(g)
+  done;
+  rolled
 
 (* A covered path from [finer] to [coarser] in the lattice DAG: every step
    must be a covered edge. Breadth-first over parents. *)
@@ -193,23 +210,20 @@ let to_records t =
   let header = Buffer.create 9 in
   Buffer.add_char header 'M';
   add_u32 header t.cuboid_id;
-  add_u32 header (Hashtbl.length t.groups);
-  let records =
-    Hashtbl.fold
-      (fun key facts acc ->
-        let buf = Buffer.create 64 in
-        Buffer.add_char buf 'K';
-        List.iter
-          (fun v ->
-            add_u32 buf (String.length v);
-            Buffer.add_string buf v)
-          (values t key);
-        add_u32 buf (Int_set.cardinal !facts);
-        Int_set.iter (fun fact -> add_u32 buf fact) !facts;
-        Buffer.contents buf :: acc)
-      t.groups []
+  add_u32 header (group_count t);
+  let record g =
+    let buf = Buffer.create 64 in
+    Buffer.add_char buf 'K';
+    List.iter
+      (fun v ->
+        add_u32 buf (String.length v);
+        Buffer.add_string buf v)
+      (values t g);
+    add_u32 buf (Int_set.cardinal t.facts.(g));
+    Int_set.iter (fun fact -> add_u32 buf fact) t.facts.(g);
+    Buffer.contents buf
   in
-  Buffer.contents header :: records
+  Buffer.contents header :: List.init (group_count t) record
 
 let save t store = X3_storage.Snapshot_store.commit store (to_records t)
 
@@ -271,27 +285,19 @@ let of_records (ctx : Context.t) records =
                 | X3_lattice.State.Present _ -> n + 1)
               0 cuboid
           in
-          let dicts = Witness.dicts ctx.table in
-          let groups = Hashtbl.create (max 16 expected) in
+          let t = create ctx ~cuboid:cuboid_id in
           let rec go = function
             | [] ->
-                if Hashtbl.length groups <> expected then
+                if group_count t <> expected then
                   Error "view snapshot: group count mismatch"
-                else
-                  Ok
-                    {
-                      cuboid_id;
-                      lattice = ctx.lattice;
-                      layout = ctx.layout;
-                      dicts;
-                      measure = ctx.measure;
-                      groups;
-                    }
+                else Ok t
             | record :: rest -> (
                 match parse_group ~arity record with
                 | Error _ as e -> e
                 | Ok (key, facts) -> (
-                    match Group_key.of_parts ctx.layout ~dicts cuboid key with
+                    match
+                      Group_key.of_parts t.layout ~dicts:t.dicts cuboid key
+                    with
                     | None ->
                         Error
                           (Printf.sprintf
@@ -299,7 +305,14 @@ let of_records (ctx : Context.t) records =
                               to this witness table"
                              (String.concat ", " key))
                     | Some coded ->
-                        Hashtbl.replace groups coded (ref facts);
+                        let g =
+                          Group_table.find_or_add t.groups
+                            (match coded with
+                            | Group_key.Packed p -> [| p |]
+                            | Group_key.Wide w -> w)
+                        in
+                        make_room t g;
+                        t.facts.(g) <- facts;
                         go rest))
           in
           go rest
@@ -318,16 +331,15 @@ let to_result t result =
   let scratch = Group_key.make_scratch (Cube_result.layout result) in
   let ids = Array.make (Array.length cuboid) 0 in
   let measures = [| 0. |] in
-  Hashtbl.iter
-    (fun key facts ->
-      Array.iteri
-        (fun axis _ -> ids.(axis) <- Group_key.id_at t.layout key ~axis)
-        ids;
-      Group_key.load_ids scratch cuboid ids;
-      let g = Group_table.find_or_add tbl (Group_key.words scratch) in
-      Int_set.iter
-        (fun fact ->
-          measures.(0) <- t.measure fact;
-          Group_table.add tbl g measures 0)
-        !facts)
-    t.groups
+  for g = 0 to group_count t - 1 do
+    Array.iteri
+      (fun axis _ -> ids.(axis) <- Group_table.id_at t.layout t.groups g ~axis)
+      ids;
+    Group_key.load_ids scratch cuboid ids;
+    let r = Group_table.find_or_add tbl (Group_key.words scratch) in
+    Int_set.iter
+      (fun fact ->
+        measures.(0) <- t.measure fact;
+        Group_table.add tbl r measures 0)
+      t.facts.(g)
+  done

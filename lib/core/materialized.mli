@@ -7,10 +7,13 @@
     computation."
 
     A materialised cuboid keeps, per group, the set of contributing fact
-    ids together with the aggregate cell. Any coarser cuboid reachable from
-    it through {e covered} lattice edges can then be computed from the
-    intermediate alone — the fact sets eliminate duplicates across the
-    merging groups, so non-disjointness costs memory but never correctness.
+    ids: its groups are counted in a {!Group_table} over the engine's
+    coded keys, and each group's fact set sits beside it, indexed by
+    group number; a cell is computed from its set, facts in ascending
+    order. Any coarser cuboid reachable from it through {e covered}
+    lattice edges can then be computed from the intermediate alone — the
+    fact sets eliminate duplicates across the merging groups, so
+    non-disjointness costs memory but never correctness.
     Coverage is the one thing fact sets cannot repair: a fact absent from
     every group of the intermediate (because the relaxed-away axis was
     missing) is simply not there to be rolled up; [rollup] therefore
@@ -25,15 +28,17 @@ val fact_items : t -> key:string list -> int list
     axis, in axis order); [[]] when the group is absent. *)
 
 val materialize : Context.t -> cuboid:int -> t
-(** One scan of the witness table, collecting groups with fact sets. *)
+(** One pass over the context's columns ({!Context.cols}), counting the
+    cuboid's groups with their fact sets in a {!Group_table}. *)
 
-val apply_rows : Context.t -> t -> X3_pattern.Witness.row list -> int
-(** Patch the view with freshly appended witness rows — [materialize]'s
-    per-row step over only the delta. Returns how many of the rows
-    represent their fact in this view's cuboid (and were therefore
-    added). Group fact-sets make the patch duplicate-safe, so it is
-    unconditionally sound for any delta of fresh facts; the rows must be
-    coded against the same table and layout the view was built on. *)
+val apply_rows : Context.t -> t -> from:int -> int
+(** Patch the view with the rows the ingest path appended to the
+    context's columns ({!Context.note_append}), from row index [from] on
+    — [materialize]'s per-row step over only the delta. Returns how many
+    of the rows represent their fact in this view's cuboid (and were
+    therefore added). Group fact-sets make the patch duplicate-safe, so
+    it is unconditionally sound for any delta of fresh facts; the view
+    must have been built on the same context. *)
 
 val approx_bytes : t -> int
 (** Estimated resident bytes of the view (groups, keys and fact sets),

@@ -74,7 +74,7 @@ let compute_sequential (ctx : Context.t) =
     if governed then begin
       let cells = Cube_result.total_cells result in
       if cells > !booked then begin
-        Context.reserve ctx ((cells - !booked) * Governor.counter_cost);
+        Context.reserve ctx ((cells - !booked) * Context.counter_cost ctx);
         booked := cells
       end
     end
@@ -266,7 +266,7 @@ let compute_parallel (ctx : Context.t) =
                   (fun acc w -> acc + Group_table.length w.partials.(j))
                   0 states
               in
-              Context.reserve ctx (cells * Governor.counter_cost)
+              Context.reserve ctx (cells * Context.counter_cost ctx)
             end;
             Array.iter
               (fun w ->
@@ -284,7 +284,7 @@ let compute_parallel (ctx : Context.t) =
                   (fun acc w -> acc + Radix.acc_occupied w.accs.(j))
                   0 states
               in
-              Context.reserve ctx (cells * Governor.counter_cost)
+              Context.reserve ctx (cells * Context.counter_cost ctx)
             end;
             Array.iter
               (fun w ->
@@ -300,7 +300,7 @@ let compute_parallel (ctx : Context.t) =
           plans.(i);
         if governed then
           Context.reserve ctx
-            (Cube_result.cuboid_size result ids.(i) * Governor.counter_cost))
+            (Cube_result.cuboid_size result ids.(i) * Context.counter_cost ctx))
       part_is;
     result
   with Context.Stop _ -> result

@@ -147,7 +147,7 @@ let key cur row =
   !acc
 
 (* Does [row] hold the fact's first binding on every removed axis — the
-   representative half of [Context.row_represents]. *)
+   representative half of [Context.cols_represents]. *)
 let first_on_removed cur row =
   let n = Array.length cur.u_removed_tags in
   let i = ref 0 in

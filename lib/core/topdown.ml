@@ -273,7 +273,7 @@ let compute ~variant (ctx : Context.t) =
   let book_result () =
     let cells = Cube_result.total_cells result in
     if cells > !booked_cells then begin
-      Context.reserve ctx ((cells - !booked_cells) * Governor.counter_cost);
+      Context.reserve ctx ((cells - !booked_cells) * Context.counter_cost ctx);
       booked_cells := cells
     end
   in

@@ -260,8 +260,9 @@ let key_of_row cuboid row =
     cuboid;
   List.rev !parts
 
-(* Representative-row semantics, mirrored from Context.row_represents (the
-   lattice library sits below the core and cannot depend on it). *)
+(* Representative-row semantics, the row form of Context.cols_represents:
+   the observed properties stay on rows, apart from the engine's column
+   code, and the lattice library sits below the core anyway. *)
 let row_represents cuboid row =
   let ok = ref true in
   Array.iteri

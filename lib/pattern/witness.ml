@@ -355,19 +355,11 @@ let dict_page_count t = X3_storage.Heap_file.page_count t.dict_heap
 let pool t = X3_storage.Heap_file.pool t.heap
 
 (* --- resident-footprint estimate --------------------------------------- *)
-(* One decoded row: the row record (fact + cells pointer), the cell array
-   and a 3-field cell record per axis, in 8-byte words. Kept in sync with
-   X3_core.Governor.row_cost (pattern cannot depend on core). *)
-let approx_row_bytes t =
-  let axes = Array.length t.axes in
-  8 * (4 + axes + (4 * axes))
-
 let approx_bytes t =
   (* The table's unavoidable resident floor: the buffer-pool frames its
      pages occupy (capped by the pool) plus the in-memory intern tables
      (values array slot + string + hashtable entry, ~48 bytes overhead per
-     distinct value). Decoded rows are booked by whoever materialises
-     them. *)
+     distinct value). The columns are booked by whoever builds them. *)
   let pool = pool t in
   let page_bytes = X3_storage.Disk.page_size (X3_storage.Buffer_pool.disk pool) in
   let frames =
@@ -407,18 +399,20 @@ let to_list t =
 (* The same table, transposed into unboxed Bigarray columns: one int32 id
    column and one byte tag column per axis (the tag byte is exactly the row
    codec's cell tag: validity bits 0-6, first-binding flag in bit 7), plus
-   plain int arrays for the fact ids and the fact-block geometry. Columns
-   are immutable after [Builder.finish], so they can be shared across
-   domains without the boxed-row snapshots the parallel paths used to
-   copy. *)
+   plain int arrays for the fact ids and the fact-block geometry. The rows
+   of a column set never change once it is built ([extend] writes only
+   past them), so it can be shared across domains. *)
 
 module Columnar = struct
   type int32_col = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
   type tag_col = (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
+  (* The arrays may hold room for more rows and blocks than [c_rows] and
+     [c_blocks]: [extend] appends into it in place. *)
   type t = {
     c_axes : int;
     c_rows : int;
+    c_blocks : int;
     c_ids : int32_col array;  (** per axis; [null_id] for unbound cells *)
     c_tags : tag_col array;  (** per axis; validity lor (first ? 0x80 : 0) *)
     c_facts : int array;  (** per row *)
@@ -428,7 +422,7 @@ module Columnar = struct
 
   let axes t = t.c_axes
   let rows t = t.c_rows
-  let blocks t = Array.length t.c_block_start - 1
+  let blocks t = t.c_blocks
   let fact t i = t.c_facts.(i)
   let block_of_row t i = t.c_row_block.(i)
   let block_lo t b = t.c_block_start.(b)
@@ -452,6 +446,10 @@ module Columnar = struct
   let approx_bytes ~axes ~rows ~blocks =
     (rows * ((5 * axes) + 16)) + (8 * (blocks + 2)) + (128 * ((2 * axes) + 1))
 
+  let resident_bytes t =
+    approx_bytes ~axes:t.c_axes ~rows:(Array.length t.c_facts)
+      ~blocks:(Array.length t.c_block_start - 1)
+
   let row t i =
     {
       fact = t.c_facts.(i);
@@ -473,7 +471,7 @@ module Columnar = struct
       tags : tag_col array;
       facts : int array;
       row_block : int array;
-      block_start : int array;  (* capacity rows + 1, trimmed on finish *)
+      block_start : int array;  (* capacity + 1 *)
       k : int;
       capacity : int;
     }
@@ -497,6 +495,51 @@ module Columnar = struct
         capacity = rows;
       }
 
+    (* Go on after the rows of [cols], with room for [rows] in all: in
+       [cols]' own arrays when they have it (for as many new blocks as
+       rows), else in arrays of at least twice their size holding a copy
+       of those rows. *)
+    let resume (cols : cols) ~rows =
+      let b =
+        if
+          rows <= Array.length cols.c_facts
+          && cols.c_blocks + rows - cols.c_rows
+             < Array.length cols.c_block_start
+        then
+          {
+            next = 0;
+            last_fact = min_int;
+            nblocks = 0;
+            ids = cols.c_ids;
+            tags = cols.c_tags;
+            facts = cols.c_facts;
+            row_block = cols.c_row_block;
+            block_start = cols.c_block_start;
+            k = cols.c_axes;
+            capacity = Array.length cols.c_facts;
+          }
+        else begin
+          let b =
+            create ~axes:cols.c_axes
+              ~rows:(max rows (2 * Array.length cols.c_facts))
+          in
+          let n = cols.c_rows in
+          for ai = 0 to b.k - 1 do
+            Bigarray.Array1.(blit (sub cols.c_ids.(ai) 0 n) (sub b.ids.(ai) 0 n));
+            Bigarray.Array1.(
+              blit (sub cols.c_tags.(ai) 0 n) (sub b.tags.(ai) 0 n))
+          done;
+          Array.blit cols.c_facts 0 b.facts 0 n;
+          Array.blit cols.c_row_block 0 b.row_block 0 n;
+          Array.blit cols.c_block_start 0 b.block_start 0 cols.c_blocks;
+          b
+        end
+      in
+      b.next <- cols.c_rows;
+      b.nblocks <- cols.c_blocks;
+      if cols.c_rows > 0 then b.last_fact <- cols.c_facts.(cols.c_rows - 1);
+      b
+
     let add b (row : row) =
       if b.next >= b.capacity then
         invalid_arg "Witness.Columnar.Builder.add: capacity exceeded";
@@ -518,98 +561,44 @@ module Columnar = struct
       done;
       b.next <- i + 1
 
-    let finish b =
-      if b.next <> b.capacity then
-        invalid_arg "Witness.Columnar.Builder.finish: rows missing";
-      let block_start = Array.sub b.block_start 0 (b.nblocks + 1) in
-      block_start.(b.nblocks) <- b.next;
+    (* The rows added so far, sharing the builder's arrays. The fence
+       after the last block is where the next block would start, so a
+       later [resume] in place leaves every earlier column set intact. *)
+    let seal b =
+      b.block_start.(b.nblocks) <- b.next;
       {
         c_axes = b.k;
         c_rows = b.next;
+        c_blocks = b.nblocks;
         c_ids = b.ids;
         c_tags = b.tags;
         c_facts = b.facts;
         c_row_block = b.row_block;
-        c_block_start = block_start;
+        c_block_start = b.block_start;
+      }
+
+    (* A built table's blocks are fixed, so its fence array is trimmed
+       to them. *)
+    let finish b =
+      if b.next <> b.capacity then
+        invalid_arg "Witness.Columnar.Builder.finish: rows missing";
+      let cols = seal b in
+      {
+        cols with
+        c_block_start = Array.sub b.block_start 0 (b.nblocks + 1);
       }
   end
 
-  (* Grow an existing column set with a tail of appended rows: a bulk blit
-     of the old columns into wider arrays plus a scalar pass over the new
-     tail, extending the fenced block offsets — no rebuild of the old
-     rows. The tail's facts must be fresh (no block may straddle the
-     seam). *)
   let extend cols added =
     match added with
     | [] -> cols
     | first :: _ ->
-        let k = cols.c_axes in
         let old = cols.c_rows in
-        let n = List.length added in
-        let rows = old + n in
         if old > 0 && first.fact = cols.c_facts.(old - 1) then
           invalid_arg "Witness.Columnar.extend: fact straddles the seam";
-        let ids =
-          Array.init k (fun ai ->
-              let col =
-                Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout rows
-              in
-              Bigarray.Array1.blit cols.c_ids.(ai)
-                (Bigarray.Array1.sub col 0 old);
-              col)
-        in
-        let tags =
-          Array.init k (fun ai ->
-              let col =
-                Bigarray.Array1.create Bigarray.int8_unsigned Bigarray.c_layout
-                  rows
-              in
-              Bigarray.Array1.blit cols.c_tags.(ai)
-                (Bigarray.Array1.sub col 0 old);
-              col)
-        in
-        let facts = Array.make rows 0 in
-        Array.blit cols.c_facts 0 facts 0 old;
-        let row_block = Array.make rows 0 in
-        Array.blit cols.c_row_block 0 row_block 0 old;
-        let old_blocks = Array.length cols.c_block_start - 1 in
-        let last_fact = ref min_int in
-        let starts = ref [] in
-        let nb = ref 0 in
-        List.iteri
-          (fun i (r : row) ->
-            if Array.length r.cells <> k then
-              invalid_arg "Witness.Columnar.extend: axis count mismatch";
-            let idx = old + i in
-            if r.fact <> !last_fact then begin
-              starts := idx :: !starts;
-              incr nb;
-              last_fact := r.fact
-            end;
-            facts.(idx) <- r.fact;
-            row_block.(idx) <- old_blocks + !nb - 1;
-            for ai = 0 to k - 1 do
-              let cell = r.cells.(ai) in
-              Bigarray.Array1.set ids.(ai) idx (Int32.of_int cell.id);
-              Bigarray.Array1.set tags.(ai) idx
-                ((cell.validity land 0x7F) lor if cell.first then 0x80 else 0)
-            done)
-          added;
-        let block_start = Array.make (old_blocks + !nb + 1) 0 in
-        Array.blit cols.c_block_start 0 block_start 0 old_blocks;
-        List.iteri
-          (fun j s -> block_start.(old_blocks + j) <- s)
-          (List.rev !starts);
-        block_start.(old_blocks + !nb) <- rows;
-        {
-          c_axes = k;
-          c_rows = rows;
-          c_ids = ids;
-          c_tags = tags;
-          c_facts = facts;
-          c_row_block = row_block;
-          c_block_start = block_start;
-        }
+        let b = Builder.resume cols ~rows:(old + List.length added) in
+        List.iter (Builder.add b) added;
+        Builder.seal b
 
   (* --- snapshot codec ---------------------------------------------------- *)
   (* One column chunk per record: 'C' | kind u8 | axis u16 | start u32 |

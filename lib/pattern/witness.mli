@@ -131,9 +131,6 @@ val page_count : t -> int
 val dict_page_count : t -> int
 val pool : t -> X3_storage.Buffer_pool.t
 
-val approx_row_bytes : t -> int
-(** Estimated bytes of one decoded row resident in memory. *)
-
 val approx_bytes : t -> int
 (** Estimated resident floor of the table: the buffer-pool frames its
     pages occupy plus the in-memory value dictionaries. The byte-budget
@@ -155,10 +152,10 @@ val pp_row : Format.formatter -> row -> unit
     The same table transposed into unboxed columns: per axis one [int32]
     id column and one byte tag column (the row codec's cell tag byte —
     validity in bits 0-6, the first-binding flag in bit 7), plus plain int
-    arrays for fact ids and fact-block geometry. Columns are immutable
-    once built, so the parallel algorithms share them across domains
-    instead of snapshotting boxed rows; the radix grouping kernels read
-    the raw columns directly. *)
+    arrays for fact ids and fact-block geometry. The rows of a column set
+    never change once built ({!Columnar.extend} writes only past them),
+    so the parallel algorithms share them across domains; the radix
+    grouping kernels read the raw columns directly. *)
 
 module Columnar : sig
   type int32_col =
@@ -195,6 +192,10 @@ module Columnar : sig
   (** Resident footprint of the columns — what the governor books when a
       context columnarises its table. *)
 
+  val resident_bytes : t -> int
+  (** {!approx_bytes} of the rows and blocks the arrays have room for:
+      the footprint of a column set {!extend} has grown. *)
+
   val row : t -> int -> row
   (** Rebuild the boxed row at one index — the compatibility view. *)
 
@@ -211,11 +212,16 @@ module Columnar : sig
   end
 
   val extend : t -> row list -> t
-  (** A new column set holding the old rows (bulk-copied) plus [added] as
-      a tail chunk with extended fenced block offsets — the ingest path's
-      alternative to a full rebuild. The tail's facts must be fresh;
-      raises [Invalid_argument] when the first added row continues the
-      table's last fact block. *)
+  (** A column set holding the old rows plus [added] as a tail — the
+      ingest path's alternative to a full rebuild. The tail is written in
+      place into the arrays' spare room when they have enough, else the
+      old rows are copied once into arrays of at least twice the size, so
+      appends cost amortised O(added rows). The old set is left as it
+      was for its own rows; extend only the newest set of a chain, since
+      an in-place append overwrites the rows past an older one. The
+      tail's facts must be fresh; raises
+      [Invalid_argument] when the first added row continues the table's
+      last fact block. *)
 end
 
 val columnar_of_table : t -> Columnar.t

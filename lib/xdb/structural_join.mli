@@ -1,53 +1,7 @@
-(** Binary structural joins (Al-Khalifa et al.'s stack-tree family) — the
-    evaluation primitive TIMBER offered the paper's cube implementation.
-
-    Both inputs are node arrays in document order (as {!Store.nodes_with_tag}
-    returns them); output pairs are produced in descendant order. The
-    stack-tree algorithm runs in [O(|A| + |D| + |output|)] for
-    ancestor-descendant joins. *)
+(** The two XPath axes a pattern step can take: parent-child ([/]) and
+    ancestor-descendant ([//]). Steps are matched holistically by
+    {!Twig_join.path_solutions}; the stack-tree binary join of Al-Khalifa
+    et al., which TIMBER offered the paper's cube implementation, is the
+    pairwise form of the same containment test. *)
 
 type axis = Child | Descendant
-
-val join :
-  Store.t ->
-  axis:axis ->
-  ancestors:Store.node array ->
-  descendants:Store.node array ->
-  (Store.node -> Store.node -> unit) ->
-  unit
-(** [join store ~axis ~ancestors ~descendants emit] calls [emit a d] for
-    every pair where [a] is an ancestor (or parent, for [Child]) of [d]. *)
-
-val join_pairs :
-  Store.t ->
-  axis:axis ->
-  ancestors:Store.node array ->
-  descendants:Store.node array ->
-  (Store.node * Store.node) list
-(** Convenience wrapper collecting the pairs. *)
-
-val semijoin_descendants :
-  Store.t ->
-  axis:axis ->
-  ancestors:Store.node array ->
-  descendants:Store.node array ->
-  Store.node array
-(** The descendants that join with at least one ancestor (document order,
-    no duplicates). *)
-
-val semijoin_ancestors :
-  Store.t ->
-  axis:axis ->
-  ancestors:Store.node array ->
-  descendants:Store.node array ->
-  Store.node array
-(** The ancestors that join with at least one descendant (document order,
-    no duplicates). *)
-
-val naive_join :
-  Store.t ->
-  axis:axis ->
-  ancestors:Store.node array ->
-  descendants:Store.node array ->
-  (Store.node * Store.node) list
-(** Quadratic reference implementation, for tests and the ablation bench. *)

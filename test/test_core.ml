@@ -541,6 +541,14 @@ let test_counter_budget_one () =
 
 (* --- group key projection ---------------------------------------------------- *)
 
+(* Re-key to a coarser cuboid the way the roll-ups do: an [land] per key
+   word with the cuboid's word masks. *)
+let project_key layout ~to_ key =
+  let masks = Group_key.word_masks layout to_ in
+  match key with
+  | Group_key.Packed p -> Group_key.Packed (p land masks.(0))
+  | Group_key.Wide w -> Group_key.Wide (Array.mapi (fun i v -> v land masks.(i)) w)
+
 let test_key_projection () =
   let dicts = dicts_of_axes [| [ "z"; "a" ]; [ "b" ]; [ "y"; "x"; "c" ] |] in
   let layout = Group_key.layout_of_sizes (Array.map Witness.Dict.size dicts) in
@@ -549,7 +557,7 @@ let test_key_projection () =
   let to_middle = [| removed; present 1; removed |] in
   let key = Option.get (Group_key.of_parts layout ~dicts from_ [ "a"; "b"; "c" ]) in
   let project to_ =
-    Group_key.to_parts layout ~dicts to_ (Group_key.project layout ~to_ key)
+    Group_key.to_parts layout ~dicts to_ (project_key layout ~to_ key)
   in
   Alcotest.(check (list string)) "project to ALL" [] (project to_all_removed);
   Alcotest.(check (list string)) "project to middle" [ "b" ] (project to_middle)
@@ -588,18 +596,9 @@ let prop_packed_key_roundtrip =
         | Group_key.Packed _ -> layout.Group_key.packed_fits
         | Group_key.Wide _ -> not layout.Group_key.packed_fits
       in
-      (* The allocation-free scratch path builds the same key from a row. *)
-      let row =
-        {
-          Witness.fact = 0;
-          cells =
-            Array.map
-              (fun id -> { Witness.id; validity = 1; first = true })
-              ids;
-        }
-      in
+      (* The allocation-free scratch path builds the same key. *)
       let scratch = Group_key.make_scratch layout in
-      Group_key.load scratch cuboid row;
+      Group_key.load_ids scratch cuboid ids;
       let sortable_roundtrips =
         let back = Group_key.make_scratch layout in
         Group_key.load_sortable back (Group_key.scratch_sortable scratch);
@@ -627,7 +626,7 @@ let prop_packed_key_project =
       in
       let key = Group_key.of_axis_ids layout cuboid ids in
       Group_key.equal
-        (Group_key.project layout ~to_:coarser key)
+        (project_key layout ~to_:coarser key)
         (Group_key.of_axis_ids layout coarser ids))
 
 (* One cube over a single LND axis [$a] on [<db><r><a>v</a></r>...</db>],
@@ -883,6 +882,22 @@ let legacy_reference_cells p =
       cuboid;
     List.rev !parts
   in
+  (* The row is its fact's representative in the cuboid: every present
+     axis is bound and valid at its state, every removed axis holds the
+     fact's first binding. *)
+  let represents cuboid (row : Witness.row) =
+    let ok = ref true in
+    Array.iteri
+      (fun ai state ->
+        match state with
+        | X3_lattice.State.Removed ->
+            if not row.Witness.cells.(ai).Witness.first then ok := false
+        | X3_lattice.State.Present m ->
+            if not (Witness.qualifies row ~axis_index:ai ~state:m) then
+              ok := false)
+      cuboid;
+    !ok
+  in
   Array.map
     (fun cid ->
       let cuboid = X3_lattice.Lattice.cuboid lattice cid in
@@ -892,7 +907,7 @@ let legacy_reference_cells p =
           let seen = Hashtbl.create 4 in
           List.iter
             (fun row ->
-              if X3_core.Context.row_represents cuboid row then begin
+              if represents cuboid row then begin
                 let key = key_parts cuboid row in
                 if not (Hashtbl.mem seen key) then begin
                   Hashtbl.add seen key ();
@@ -1037,6 +1052,19 @@ let test_materialized_rollup_refuses_uncovered () =
   Alcotest.(check (option (float 1e-9))) "2003 undercounted" (Some 1.)
     (count_2003 (Materialized.cells rolled))
 
+(* The serve cache admits and evicts views by [approx_bytes]: the figures
+   here were computed for figure 1's views by the release before views
+   counted in a Group_table, and must not move. *)
+let test_materialized_approx_bytes_pinned () =
+  let p = prepared () in
+  let session = Engine.Session.create p in
+  Alcotest.(check (list int)) "approx_bytes per cuboid"
+    [ 672; 672; 672; 672; 672; 576; 672; 672; 672; 672; 808; 712; 672; 672;
+      672; 672; 672; 576; 672; 672; 672; 672; 808; 712; 536; 440; 536; 440;
+      576; 384 ]
+    (List.init (X3_lattice.Lattice.size (lattice_of p)) (fun cuboid ->
+         Materialized.approx_bytes (Engine.Session.materialize session ~cuboid)))
+
 let test_materialized_rollup_rejects_non_relaxation () =
   let p = prepared () in
   let ctx = context_of p in
@@ -1073,6 +1101,35 @@ let treebank_prepared config =
       (X3_storage.Disk.in_memory ~page_size:8192 ())
   in
   Engine.prepare ~pool ~store (X3_workload.Treebank.spec config)
+
+(* A stop that lands while a long-lived context builds its columns gives
+   the build's booking back; the next build books them afresh. *)
+let test_cols_stop_releases_booking () =
+  let p =
+    treebank_prepared { X3_workload.Treebank.default with num_trees = 200 }
+  in
+  let account = Governor.open_account ~max_bytes:(1 lsl 40) None in
+  let ctx =
+    X3_core.Context.create ~account ~table:(Engine.table p)
+      ~lattice:(Engine.lattice p) ~measure:(Engine.measure p) ()
+  in
+  let before = Governor.account_used account in
+  let stop = ref true in
+  Context.set_cancel_hook ctx (fun () -> !stop);
+  (match Context.cols ctx with
+  | _ -> Alcotest.fail "the cancel hook must stop the build"
+  | exception Context.Stop Context.Cancelled -> ());
+  Alcotest.(check int) "booking released" before
+    (Governor.account_used account);
+  stop := false;
+  Context.clear_stop ctx;
+  let cols = Context.cols ctx in
+  Alcotest.(check int) "columns booked once"
+    (before
+    + Witness.Columnar.approx_bytes ~axes:(Witness.Columnar.axes cols)
+        ~rows:(Witness.Columnar.rows cols) ~blocks:(Witness.Columnar.blocks cols)
+    )
+    (Governor.account_used account)
 
 (* Three inputs, each with the csv/json/pp digests every correct family
    at 1 and 2 workers must reproduce. The digests were taken from the
@@ -1805,11 +1862,40 @@ let test_group_table_wrap () =
   done;
   Alcotest.(check (list int)) "found after growth" [ 0; 1; 2 ] (found ())
 
+(* What a three-word group occupies, measured with Obj.reachable_words
+   over tables caught at different points between two grows: the
+   governor's booking covers the middle of that range, and one- and
+   two-word groups keep the flat 96 bytes. *)
+let test_counter_cost_three_words () =
+  let per_group n =
+    let tbl = Group_table.create ~words:3 in
+    for i = 0 to n - 1 do
+      ignore (Group_table.find_or_add tbl (model_key ~w:3 i))
+    done;
+    float_of_int (Obj.reachable_words (Obj.repr tbl) * (Sys.word_size / 8))
+    /. float_of_int n
+  in
+  let measured =
+    List.map per_group
+      [ 100; 129; 200; 257; 513; 700; 1_025; 1_500; 3_073; 6_000; 24_577;
+        50_000; 98_305; 200_000 ]
+  in
+  let low = List.fold_left Float.min infinity measured
+  and high = List.fold_left Float.max neg_infinity measured in
+  let booked = Governor.counter_cost ~words:3 in
+  Alcotest.(check bool)
+    (Printf.sprintf "3 words: booked %d >= measured midpoint %.1f (%.1f-%.1f)"
+       booked ((low +. high) /. 2.) low high)
+    true
+    (float_of_int booked >= (low +. high) /. 2.);
+  Alcotest.(check (list int)) "1 and 2 words stay at 96" [ 96; 96 ]
+    [ Governor.counter_cost ~words:1; Governor.counter_cost ~words:2 ]
+
 (* A 7-axis table whose key layout is exactly [bits] wide: six axes of
    300 values (9 bits) and a seventh of 300 (63 bits: it opens a second
    key word) or 200 (62 bits: one word, every bit used). Facts skip and
    repeat values, so neither disjointness nor coverage holds. *)
-let boundary_prepared ~bits =
+let boundary_doc ~bits =
   let sizes = Array.init 7 (fun j -> if j = 6 && bits = 62 then 200 else 300) in
   let facts = 320 in
   let buf = Buffer.create (facts * 100) in
@@ -1825,15 +1911,21 @@ let boundary_prepared ~bits =
     Buffer.add_string buf "</r>"
   done;
   Buffer.add_string buf "</db>";
+  parse_ok (Buffer.contents buf)
+
+let boundary_spec () =
   let axes =
     Array.init 7 (fun j ->
         X3_pattern.Axis.make_exn ~name:(Printf.sprintf "$a%d" j)
           ~steps:[ step c (Printf.sprintf "a%d" j) ]
           ~allowed:[ Relax.Lnd ])
   in
+  Engine.count_spec ~fact_path:[ step d "r" ] ~axes
+
+let boundary_prepared ~bits =
   Engine.prepare ~pool:(small_pool ())
-    ~store:(X3_xdb.Store.of_document (parse_ok (Buffer.contents buf)))
-    (Engine.count_spec ~fact_path:[ step d "r" ] ~axes)
+    ~store:(X3_xdb.Store.of_document (boundary_doc ~bits))
+    (boundary_spec ())
 
 let test_boundary_layouts () =
   List.iter
@@ -1873,6 +1965,97 @@ let test_boundary_layouts () =
                 ("radix_bits 0", { Engine.default_config with radix_bits = 0 });
               ])
         Engine.all_algorithms)
+    [ 62; 63 ]
+
+(* Views on the same two layouts: every cuboid's view holds NAIVE's
+   groups with one fact per counted fact. Neither table has a covered
+   edge (each fact misses at most one axis, and every axis is missed by
+   some fact), so every roll-up is checked against what it must hold
+   when facts go missing: along each edge the unchecked roll-up holds
+   exactly the coarser view's facts that the finer view has, and the
+   checked roll-up is refused — or, were the edge covered, holds the
+   coarser view itself. *)
+let test_boundary_views () =
+  List.iter
+    (fun bits ->
+      let p = boundary_prepared ~bits in
+      let lattice = Engine.lattice p in
+      let reference, _ = Engine.run p Engine.Naive in
+      let session = Engine.Session.create p in
+      let ctx = Engine.Session.context session in
+      let props = Engine.Session.props session in
+      let views =
+        Array.init (X3_lattice.Lattice.size lattice) (fun cuboid ->
+            Engine.Session.materialize session ~cuboid)
+      in
+      let counts view =
+        List.map
+          (fun (key, cell) -> (key, Aggregate.value Aggregate.Count cell))
+          (Materialized.cells view)
+      in
+      let facts view =
+        List.map
+          (fun (key, _) -> (key, Materialized.fact_items view ~key))
+          (Materialized.cells view)
+      in
+      let edges = ref 0 in
+      Array.iteri
+        (fun cid view ->
+          let name = Printf.sprintf "%d bits, cuboid %d" bits cid in
+          let naive =
+            List.map
+              (fun (key, cell) -> (key, Aggregate.value Aggregate.Count cell))
+              (Cube_result.cuboid_cells reference cid)
+          in
+          Alcotest.(check (list (pair (list string) (float 0.))))
+            (name ^ ": cells = NAIVE") naive (counts view);
+          Alcotest.(check (list (pair (list string) (float 0.))))
+            (name ^ ": one fact per count") naive
+            (List.map
+               (fun (key, fs) ->
+                 (key, float_of_int (List.length (List.sort_uniq compare fs))))
+               (facts view));
+          let held = Hashtbl.create 64 in
+          List.iter
+            (fun (_, fs) -> List.iter (fun f -> Hashtbl.replace held f ()) fs)
+            (facts view);
+          List.iter
+            (fun coarser ->
+              incr edges;
+              let name = Printf.sprintf "%s -> %d" name coarser in
+              let expected =
+                List.filter_map
+                  (fun (key, fs) ->
+                    match List.filter (Hashtbl.mem held) fs with
+                    | [] -> None
+                    | fs -> Some (key, fs))
+                  (facts views.(coarser))
+              in
+              let rolled = Materialized.rollup_unchecked ctx view ~coarser in
+              Alcotest.(check (list (pair (list string) (list int))))
+                (name ^ ": rolled facts") expected (facts rolled);
+              Alcotest.(check (list (pair (list string) (float 0.))))
+                (name ^ ": rolled cells")
+                (List.map
+                   (fun (key, fs) -> (key, float_of_int (List.length fs)))
+                   expected)
+                (counts rolled);
+              match Materialized.rollup ctx ~props view ~coarser with
+              | Ok rolled ->
+                  Alcotest.(check bool) (name ^ ": covered") true
+                    (X3_lattice.Properties.edge_covered props ~finer:cid
+                       ~coarser);
+                  Alcotest.(check (list (pair (list string) (list int))))
+                    (name ^ ": covered roll-up = view")
+                    (facts views.(coarser)) (facts rolled)
+              | Error _ ->
+                  Alcotest.(check bool) (name ^ ": uncovered") false
+                    (X3_lattice.Properties.edge_covered props ~finer:cid
+                       ~coarser))
+            (X3_lattice.Lattice.parents lattice cid))
+        views;
+      Alcotest.(check int) (Printf.sprintf "%d bits: edges" bits) (7 * 64)
+        !edges)
     [ 62; 63 ]
 
 (* Sequential COUNTER allocates less than one minor word per key built
@@ -2230,6 +2413,18 @@ let test_delta_identity_treebank () =
   delta_vs_cold ~name:"treebank" ~doc ~frags
     ~spec:(X3_workload.Treebank.spec config)
 
+(* Ingest on the two-word layout: clones of the table's own facts (every
+   value already in its dictionary) applied to every view equal a cold
+   rebuild of the grafted document. *)
+let test_boundary_delta () =
+  let doc = boundary_doc ~bits:63 in
+  let frags =
+    List.filteri
+      (fun i _ -> i < 4)
+      (List.filter_map X3_xml.Tree.element_of_node doc.X3_xml.Tree.root.X3_xml.Tree.children)
+  in
+  delta_vs_cold ~name:"63 bits" ~doc ~frags ~spec:(boundary_spec ())
+
 let test_delta_layout_overflow_refused () =
   let spec = Engine.count_spec ~fact_path ~axes:(query1_axes ()) in
   let session =
@@ -2271,6 +2466,87 @@ let test_delta_layout_overflow_refused () =
       | Error fb ->
           Alcotest.failf "wrong fallback: %s" (Engine.fallback_reason_name fb))
   | _ -> Alcotest.fail "fragment should stage"
+
+(* A view restored from its records on a session that has not built its
+   columns yet: the delta builds them first, and a stop during that build
+   refuses the delta with the table and the view untouched. *)
+let test_delta_stopped_column_build () =
+  let config = { X3_workload.Treebank.default with num_trees = 200 } in
+  let doc = X3_workload.Treebank.generate config in
+  let spec = X3_workload.Treebank.spec config in
+  let prepare () =
+    Engine.prepare ~pool:(small_pool ())
+      ~store:(X3_xdb.Store.of_document doc) spec
+  in
+  let records =
+    Materialized.to_records
+      (Engine.Session.materialize (Engine.Session.create (prepare ()))
+         ~cuboid:0)
+  in
+  let session = Engine.Session.create (prepare ()) in
+  let ctx = Engine.Session.context session in
+  let view = Result.get_ok (Materialized.of_records ctx records) in
+  let table = Engine.table (Engine.Session.prepared session) in
+  let rows_before = Witness.row_count table
+  and groups_before = Materialized.group_count view in
+  Context.set_cancel_hook ctx (fun () -> true);
+  let fragment =
+    List.find_map Tree.element_of_node doc.Tree.root.Tree.children
+    |> Option.get
+  in
+  match
+    Engine.stage_fragment spec ~fragment
+      ~fact_id:(Engine.synthetic_fact_id ~lsn:1)
+  with
+  | Engine.Staged staged -> (
+      match Engine.Session.apply_delta session staged ~views:[ view ] with
+      | Error (Engine.Stopped Context.Cancelled) ->
+          Alcotest.(check int) "table untouched" rows_before
+            (Witness.row_count table);
+          Alcotest.(check int) "view untouched" groups_before
+            (Materialized.group_count view)
+      | Ok _ -> Alcotest.fail "the cancel hook must stop the column build"
+      | Error fb ->
+          Alcotest.failf "wrong fallback: %s" (Engine.fallback_reason_name fb))
+  | _ -> Alcotest.fail "fragment should stage"
+
+(* Ingests grow the session's columns in place while their arrays have
+   room and double them when not; the account holds exactly the room the
+   arrays have, whichever happened. *)
+let test_delta_books_column_room () =
+  let config = { X3_workload.Treebank.default with num_trees = 200 } in
+  let doc = X3_workload.Treebank.generate config in
+  let spec = X3_workload.Treebank.spec config in
+  let account = Governor.open_account ~max_bytes:(1 lsl 40) None in
+  let session =
+    Engine.Session.create ~account
+      (Engine.prepare ~pool:(small_pool ())
+         ~store:(X3_xdb.Store.of_document doc) spec)
+  in
+  let ctx = Engine.Session.context session in
+  let table_bytes = Governor.account_used account in
+  let view = Engine.Session.materialize session ~cuboid:0 in
+  let booked () = Governor.account_used account - table_bytes in
+  let room () = Witness.Columnar.resident_bytes (Context.cols ctx) in
+  Alcotest.(check int) "built" (room ()) (booked ());
+  List.iteri
+    (fun i fragment ->
+      match
+        Engine.stage_fragment spec ~fragment
+          ~fact_id:(Engine.synthetic_fact_id ~lsn:(i + 1))
+      with
+      | Engine.Staged staged -> (
+          match Engine.Session.apply_delta session staged ~views:[ view ] with
+          | Ok _ ->
+              Alcotest.(check int)
+                (Printf.sprintf "after ingest %d" (i + 1))
+                (room ()) (booked ())
+          | Error fb ->
+              Alcotest.failf "refused: %s" (Engine.fallback_reason_name fb))
+      | _ -> Alcotest.fail "fragment should stage")
+    (List.filteri
+       (fun i _ -> i < 5)
+       (List.filter_map Tree.element_of_node doc.Tree.root.Tree.children))
 
 let test_stage_fragment_classification () =
   let spec = Engine.count_spec ~fact_path ~axes:(query1_axes ()) in
@@ -2319,7 +2595,17 @@ let () =
           Alcotest.test_case "COUNTER allocates < 1 word per key" `Quick
             test_counter_allocation_guard;
         ]
-        @ qcheck [ prop_group_table_model ] );
+        @ qcheck [ prop_group_table_model ]
+        @ [
+            Alcotest.test_case
+              "62/63-bit layouts, views = NAIVE, roll-ups exact" `Quick
+              test_boundary_views;
+            Alcotest.test_case "63-bit layout, ingest delta = cold rebuild"
+              `Quick test_boundary_delta;
+            Alcotest.test_case
+              "three-word counter booking covers the midpoint" `Quick
+              test_counter_cost_three_words;
+          ] );
       ( "sort record",
         [
           Alcotest.test_case "roundtrip" `Quick test_sort_record_roundtrip;
@@ -2393,6 +2679,10 @@ let () =
             test_materialized_rollup_refuses_uncovered;
           Alcotest.test_case "rollup rejects non-relaxation" `Quick
             test_materialized_rollup_rejects_non_relaxation;
+          Alcotest.test_case "approx_bytes pinned on figure 1" `Quick
+            test_materialized_approx_bytes_pinned;
+          Alcotest.test_case "stopped column build releases its booking"
+            `Quick test_cols_stop_releases_booking;
         ] );
       ( "ingest deltas",
         [
@@ -2404,6 +2694,10 @@ let () =
             test_delta_layout_overflow_refused;
           Alcotest.test_case "fragment classification" `Quick
             test_stage_fragment_classification;
+          Alcotest.test_case "ingests book the columns' room" `Quick
+            test_delta_books_column_room;
+          Alcotest.test_case "stopped column build refused, nothing mutated"
+            `Quick test_delta_stopped_column_build;
         ] );
       ( "export",
         [

@@ -301,13 +301,8 @@ let gen_nested_doc =
 (* The column-major view is a pure re-encoding: every accessor must agree
    with the boxed rows it was built from, and the rebuilt compatibility
    rows must be structurally identical. *)
-let columnar_equals_rows table =
-  let cols = Witness.columnar_of_table table in
-  let rows = Array.of_list (Witness.to_list table) in
+let columnar_matches cols rows =
   Witness.Columnar.rows cols = Array.length rows
-  && Witness.Columnar.blocks cols = Witness.fact_count table
-  && Witness.Columnar.axes cols
-     = Array.length (Witness.axes table)
   && Array.for_all Fun.id
        (Array.mapi
           (fun r row ->
@@ -330,6 +325,19 @@ let columnar_equals_rows table =
      expect := Witness.Columnar.block_hi cols b + 1
    done;
    !ok && !expect = Array.length rows)
+  && (* [rows]' facts are contiguous: one block per fact run *)
+  Witness.Columnar.blocks cols
+  = fst
+      (Array.fold_left
+         (fun (n, last) (row : Witness.row) ->
+           ((if row.Witness.fact = last then n else n + 1), row.Witness.fact))
+         (0, min_int) rows)
+
+let columnar_equals_rows table =
+  let cols = Witness.columnar_of_table table in
+  columnar_matches cols (Array.of_list (Witness.to_list table))
+  && Witness.Columnar.blocks cols = Witness.fact_count table
+  && Witness.Columnar.axes cols = Array.length (Witness.axes table)
 
 let test_columnar_figure1 () =
   Alcotest.(check bool) "columnar = rows on figure 1" true
@@ -349,6 +357,51 @@ let prop_columnar_equals_rows =
       let fact_path = [ step d "r" ] in
       let table = Eval.build_table (small_pool ()) store ~fact_path ~axes in
       columnar_equals_rows table)
+
+(* Columns grown by [extend] — copied into bigger arrays, then written in
+   place into their spare room — equal the columns built in one go, and
+   the set each append started from still reads as before. *)
+let prop_columnar_extend =
+  QCheck2.Test.make ~name:"columnar extend = one build" ~count:100
+    QCheck2.Gen.(triple gen_nested_doc (int_bound 8) (int_bound 8))
+    (fun (doc, a, b) ->
+      let store = X3_xdb.Store.of_document doc in
+      let axes =
+        [|
+          Axis.make_exn ~name:"$q"
+            ~steps:[ step c "p"; step c "q" ]
+            ~allowed:[ Relax.Lnd; Relax.Sp; Relax.Pc_ad ];
+        |]
+      in
+      let table =
+        Eval.build_table (small_pool ()) store ~fact_path:[ step d "r" ] ~axes
+      in
+      let rows = Witness.to_list table in
+      (* Cut at fact boundaries: the first [a] facts, the next [b], the rest. *)
+      let facts = List.sort_uniq compare (List.map (fun r -> r.Witness.fact) rows) in
+      let rank f =
+        let rec go i = function
+          | [] -> i
+          | g :: rest -> if g = f then i else go (i + 1) rest
+        in
+        go 0 facts
+      in
+      let part lo hi =
+        List.filter
+          (fun r -> let k = rank r.Witness.fact in k >= lo && k < hi)
+          rows
+      in
+      let p1 = part 0 a and p2 = part a (a + b) and p3 = part (a + b) max_int in
+      let b1 =
+        Witness.Columnar.Builder.create ~axes:1 ~rows:(List.length p1)
+      in
+      List.iter (Witness.Columnar.Builder.add b1) p1;
+      let c1 = Witness.Columnar.Builder.finish b1 in
+      let c2 = Witness.Columnar.extend c1 p2 in
+      let c3 = Witness.Columnar.extend c2 p3 in
+      columnar_matches c3 (Array.of_list rows)
+      && columnar_matches c2 (Array.of_list (p1 @ p2))
+      && columnar_matches c1 (Array.of_list p1))
 
 (* --- mrfi --------------------------------------------------------------- *)
 
@@ -423,5 +476,6 @@ let () =
           [
             prop_codec_roundtrip;
             prop_columnar_equals_rows;
+            prop_columnar_extend;
           ] );
     ]

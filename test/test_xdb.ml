@@ -106,77 +106,61 @@ let test_store_forest () =
   Alcotest.(check int) "two documents" 2
     (Array.length (Store.nodes_with_tag s "a"))
 
-(* --- structural joins ------------------------------------------------- *)
-
-let sorted_pairs l = List.sort compare l
-
-let check_join_against_naive ~axis ~anc_tag ~desc_tag st =
-  let ancestors = Store.nodes_with_tag st anc_tag in
-  let descendants = Store.nodes_with_tag st desc_tag in
-  let fast = Structural_join.join_pairs st ~axis ~ancestors ~descendants in
-  let slow = Structural_join.naive_join st ~axis ~ancestors ~descendants in
-  Alcotest.(check (list (pair int int)))
-    (Printf.sprintf "%s-%s" anc_tag desc_tag)
-    (sorted_pairs slow) (sorted_pairs fast)
-
-let test_join_ad () =
-  check_join_against_naive ~axis:Structural_join.Descendant
-    ~anc_tag:"publication" ~desc_tag:"name" store;
-  check_join_against_naive ~axis:Structural_join.Descendant
-    ~anc_tag:"publication" ~desc_tag:"author" store
-
-let test_join_pc () =
-  check_join_against_naive ~axis:Structural_join.Child ~anc_tag:"publication"
-    ~desc_tag:"author" store;
-  check_join_against_naive ~axis:Structural_join.Child ~anc_tag:"publication"
-    ~desc_tag:"publisher" store
-
-let test_join_pc_vs_ad_counts () =
-  let pubs = Store.nodes_with_tag store "publication" in
-  let authors = Store.nodes_with_tag store "author" in
-  let pc =
-    Structural_join.join_pairs store ~axis:Structural_join.Child
-      ~ancestors:pubs ~descendants:authors
-  in
-  let ad =
-    Structural_join.join_pairs store ~axis:Structural_join.Descendant
-      ~ancestors:pubs ~descendants:authors
-  in
-  (* Pub 3's author sits under <authors>, so PC misses it. *)
-  Alcotest.(check int) "pc pairs" 4 (List.length pc);
-  Alcotest.(check int) "ad pairs" 5 (List.length ad)
-
-let test_semijoins () =
-  let pubs = Store.nodes_with_tag store "publication" in
-  let publishers = Store.nodes_with_tag store "publisher" in
-  let with_publisher =
-    Structural_join.semijoin_ancestors store ~axis:Structural_join.Child
-      ~ancestors:pubs ~descendants:publishers
-  in
-  (* Pubs 1, 2 have a publisher child; pub 4's is nested under pubData. *)
-  Alcotest.(check int) "pubs with publisher child" 2
-    (Array.length with_publisher);
-  let desc =
-    Structural_join.semijoin_descendants store ~axis:Structural_join.Descendant
-      ~ancestors:pubs ~descendants:publishers
-  in
-  Alcotest.(check int) "publishers under pubs" 3 (Array.length desc)
-
-(* --- path and twig joins ---------------------------------------------- *)
+(* --- path joins ---------------------------------------------------------- *)
 
 let d = Structural_join.Descendant
 let c = Structural_join.Child
 
+let solutions st path =
+  let acc = ref [] in
+  Twig_join.path_solutions st path (fun s -> acc := Array.to_list s :: !acc);
+  List.sort compare !acc
+
+let count st path = List.length (solutions st path)
+
+let naive_solutions st path =
+  List.sort compare (List.map Array.to_list (Twig_join.naive_path_solutions st path))
+
+(* [//anc_tag] joined to [desc_tag] along [axis]: PathStack's pairs are
+   the navigational ones. *)
+let check_join_against_naive ~axis ~anc_tag ~desc_tag st =
+  let path = [ { Twig_join.axis = d; tag = anc_tag }; { axis; tag = desc_tag } ] in
+  Alcotest.(check (list (list int)))
+    (Printf.sprintf "%s-%s" anc_tag desc_tag)
+    (naive_solutions st path) (solutions st path)
+
+let test_join_ad () =
+  check_join_against_naive ~axis:d ~anc_tag:"publication" ~desc_tag:"name"
+    store;
+  check_join_against_naive ~axis:d ~anc_tag:"publication" ~desc_tag:"author"
+    store
+
+let test_join_pc () =
+  check_join_against_naive ~axis:c ~anc_tag:"publication" ~desc_tag:"author"
+    store;
+  check_join_against_naive ~axis:c ~anc_tag:"publication"
+    ~desc_tag:"publisher" store
+
+let test_join_pc_vs_ad_counts () =
+  let path axis =
+    [ { Twig_join.axis = d; tag = "publication" }; { axis; tag = "author" } ]
+  in
+  (* Pub 3's author sits under <authors>, so PC misses it. *)
+  Alcotest.(check int) "pc pairs" 4 (count store (path c));
+  Alcotest.(check int) "ad pairs" 5 (count store (path d))
+
+let test_pathstack_single_step () =
+  Alcotest.(check int) "years anywhere" 5
+    (count store [ { Twig_join.axis = d; tag = "year" } ])
+
 let test_pathstack_simple () =
   let path = [ { Twig_join.axis = d; tag = "publication" }; { axis = c; tag = "year" } ] in
-  let count = Twig_join.count_path_solutions store path in
   (* pub1: 1 year, pub2: 2 years, pub3: 1 year, pub4: none (nested). *)
-  Alcotest.(check int) "pub/year matches" 4 count
+  Alcotest.(check int) "pub/year matches" 4 (count store path)
 
 let test_pathstack_descendant () =
   let path = [ { Twig_join.axis = d; tag = "publication" }; { axis = d; tag = "year" } ] in
-  Alcotest.(check int) "pub//year matches" 5
-    (Twig_join.count_path_solutions store path)
+  Alcotest.(check int) "pub//year matches" 5 (count store path)
 
 let test_pathstack_three_steps () =
   let path =
@@ -186,8 +170,7 @@ let test_pathstack_three_steps () =
       { axis = c; tag = "name" };
     ]
   in
-  Alcotest.(check int) "pub/author/name" 4
-    (Twig_join.count_path_solutions store path)
+  Alcotest.(check int) "pub/author/name" 4 (count store path)
 
 let test_pathstack_vs_naive () =
   let paths =
@@ -204,115 +187,9 @@ let test_pathstack_vs_naive () =
   in
   List.iter
     (fun path ->
-      let fast = ref [] in
-      Twig_join.path_solutions store path (fun s -> fast := Array.to_list s :: !fast);
-      let slow = List.map Array.to_list (Twig_join.naive_path_solutions store path) in
       Alcotest.(check (list (list int)))
-        "pathstack = naive" (List.sort compare slow)
-        (List.sort compare !fast))
+        "pathstack = naive" (naive_solutions store path) (solutions store path))
     paths
-
-let test_twig_solutions () =
-  (* publication[./author/name][./year] *)
-  let twig =
-    {
-      Twig_join.node = { axis = d; tag = "publication" };
-      branches =
-        [
-          {
-            Twig_join.node = { axis = c; tag = "author" };
-            branches =
-              [ { Twig_join.node = { axis = c; tag = "name" }; branches = [] } ];
-          };
-          { Twig_join.node = { axis = c; tag = "year" }; branches = [] };
-        ];
-    }
-  in
-  let solutions = ref [] in
-  Twig_join.twig_solutions store twig (fun s -> solutions := s :: !solutions);
-  (* pub1: 2 authors x 1 year = 2; pub2: 1 author x 2 years = 2;
-     pub3: author nested (PC fails); pub4: no year child. *)
-  Alcotest.(check int) "twig matches" 4 (List.length !solutions);
-  List.iter
-    (fun s ->
-      Alcotest.(check int) "solution width" 4 (Array.length s);
-      Alcotest.(check string) "first is publication" "publication"
-        (Store.tag store s.(0)))
-    !solutions
-
-let test_twig_single_node () =
-  let twig = { Twig_join.node = { axis = d; tag = "year" }; branches = [] } in
-  let n = ref 0 in
-  Twig_join.twig_solutions store twig (fun _ -> incr n);
-  Alcotest.(check int) "years anywhere" 5 !n
-
-let test_twig_three_branches () =
-  (* publication[.//name][.//publisher][./year] — a three-way twig. *)
-  let twig =
-    {
-      Twig_join.node = { axis = d; tag = "publication" };
-      branches =
-        [
-          { Twig_join.node = { axis = d; tag = "name" }; branches = [] };
-          { Twig_join.node = { axis = d; tag = "publisher" }; branches = [] };
-          { Twig_join.node = { axis = c; tag = "year" }; branches = [] };
-        ];
-    }
-  in
-  let solutions = ref [] in
-  Twig_join.twig_solutions store twig (fun s -> solutions := s :: !solutions);
-  (* pub1: 2 names x 1 publisher x 1 year = 2; pub2: 1 x 1 x 2 = 2;
-     pub3: no publisher; pub4: publisher but year not a child. *)
-  Alcotest.(check int) "three-branch solutions" 4 (List.length !solutions);
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) "name under pub" true
-        (Store.is_ancestor store ~anc:s.(0) ~desc:s.(1));
-      Alcotest.(check bool) "publisher under pub" true
-        (Store.is_ancestor store ~anc:s.(0) ~desc:s.(2));
-      Alcotest.(check bool) "year child of pub" true
-        (Store.is_parent store ~parent:s.(0) ~child:s.(3)))
-    !solutions
-
-let test_twig_nested_branch () =
-  (* publication[./author[./name]][./publisher] — branch below a branch. *)
-  let twig =
-    {
-      Twig_join.node = { axis = d; tag = "publication" };
-      branches =
-        [
-          {
-            Twig_join.node = { axis = c; tag = "author" };
-            branches =
-              [ { Twig_join.node = { axis = c; tag = "name" }; branches = [] } ];
-          };
-          { Twig_join.node = { axis = c; tag = "publisher" }; branches = [] };
-        ];
-    }
-  in
-  let n = ref 0 in
-  Twig_join.twig_solutions store twig (fun _ -> incr n);
-  (* pub1: 2 author-name pairs x 1 publisher; pub2: 1 x 1; pub3 (no direct
-     author, no publisher): 0; pub4: author/name but publisher nested. *)
-  Alcotest.(check int) "nested twig solutions" 3 !n
-
-let test_twig_steps_preorder () =
-  let twig =
-    {
-      Twig_join.node = { axis = d; tag = "a" };
-      branches =
-        [
-          {
-            Twig_join.node = { axis = c; tag = "b" };
-            branches =
-              [ { Twig_join.node = { axis = c; tag = "c" }; branches = [] } ];
-          };
-          { Twig_join.node = { axis = c; tag = "e" }; branches = [] };
-        ];
-    }
-  in
-  Alcotest.(check (list string)) "pre-order tags" [ "a"; "b"; "c"; "e" ]
-    (List.map (fun (s : Twig_join.step) -> s.tag) (Twig_join.twig_steps twig))
 
 (* --- persistence -------------------------------------------------------- *)
 
@@ -338,13 +215,11 @@ let test_store_save_load_roundtrip () =
         (Store.parent loaded v))
     (Store.document_order store);
   (* The tag index must be rebuilt identically: joins agree. *)
-  let pairs st =
-    Structural_join.join_pairs st ~axis:Structural_join.Descendant
-      ~ancestors:(Store.nodes_with_tag st "publication")
-      ~descendants:(Store.nodes_with_tag st "name")
+  let path =
+    [ { Twig_join.axis = d; tag = "publication" }; { axis = d; tag = "name" } ]
   in
-  Alcotest.(check (list (pair int int))) "joins agree" (pairs store)
-    (pairs loaded)
+  Alcotest.(check (list (list int))) "joins agree" (solutions store path)
+    (solutions loaded path)
 
 let test_store_load_rejects_garbage () =
   let pool = save_pool () in
@@ -376,11 +251,14 @@ let test_store_load_rejects_truncation () =
 
 (* --- property tests over random trees --------------------------------- *)
 
+(* Random trees of three tags. The size is capped at 32 so a tree's
+   depth (halving per level) and node count (up to four children per
+   node) stay small whatever the seed. *)
 let gen_store =
   let open QCheck2.Gen in
   let tag = oneofl [ "a"; "b"; "c" ] in
   let tree =
-    sized @@ fix (fun self n ->
+    sized_size (int_bound 32) @@ fix (fun self n ->
         if n <= 0 then map (fun t -> Tree.elem t []) tag
         else
           map2
@@ -395,20 +273,6 @@ let gen_store =
       | _ -> assert false)
     tree
 
-let prop_join_matches_naive =
-  QCheck2.Test.make ~name:"structural join = naive join" ~count:200
-    QCheck2.Gen.(triple gen_store (oneofl [ "a"; "b"; "c" ]) (oneofl [ "a"; "b"; "c" ]))
-    (fun (st, anc_tag, desc_tag) ->
-      List.for_all
-        (fun axis ->
-          let ancestors = Store.nodes_with_tag st anc_tag in
-          let descendants = Store.nodes_with_tag st desc_tag in
-          sorted_pairs
-            (Structural_join.join_pairs st ~axis ~ancestors ~descendants)
-          = sorted_pairs
-              (Structural_join.naive_join st ~axis ~ancestors ~descendants))
-        [ Structural_join.Child; Structural_join.Descendant ])
-
 let prop_pathstack_matches_naive =
   QCheck2.Test.make ~name:"pathstack = naive path eval" ~count:200
     QCheck2.Gen.(
@@ -418,10 +282,7 @@ let prop_pathstack_matches_naive =
     (fun (st, t1, (t2, ax)) ->
       let axis = match ax with `C -> c | `D -> d in
       let path = [ { Twig_join.axis = d; tag = t1 }; { axis; tag = t2 } ] in
-      let fast = ref [] in
-      Twig_join.path_solutions st path (fun s -> fast := Array.to_list s :: !fast);
-      let slow = List.map Array.to_list (Twig_join.naive_path_solutions st path) in
-      List.sort compare !fast = List.sort compare slow)
+      solutions st path = naive_solutions st path)
 
 let prop_labels_consistent =
   QCheck2.Test.make ~name:"labels agree with parents" ~count:200 gen_store
@@ -466,7 +327,6 @@ let () =
           Alcotest.test_case "ancestor-descendant" `Quick test_join_ad;
           Alcotest.test_case "parent-child" `Quick test_join_pc;
           Alcotest.test_case "pc vs ad counts" `Quick test_join_pc_vs_ad_counts;
-          Alcotest.test_case "semijoins" `Quick test_semijoins;
         ] );
       ( "twig join",
         [
@@ -476,15 +336,10 @@ let () =
           Alcotest.test_case "pathstack three steps" `Quick
             test_pathstack_three_steps;
           Alcotest.test_case "pathstack vs naive" `Quick test_pathstack_vs_naive;
-          Alcotest.test_case "twig solutions" `Quick test_twig_solutions;
-          Alcotest.test_case "twig single node" `Quick test_twig_single_node;
-          Alcotest.test_case "twig three branches" `Quick
-            test_twig_three_branches;
-          Alcotest.test_case "twig nested branch" `Quick test_twig_nested_branch;
-          Alcotest.test_case "twig steps preorder" `Quick
-            test_twig_steps_preorder;
+          Alcotest.test_case "pathstack single step" `Quick
+            test_pathstack_single_step;
         ] );
       ( "properties",
         qcheck
-          [ prop_join_matches_naive; prop_pathstack_matches_naive; prop_labels_consistent ] );
+          [ prop_pathstack_matches_naive; prop_labels_consistent ] );
     ]
